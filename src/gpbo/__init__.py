@@ -31,9 +31,8 @@ from .loop import (
     incumbent,
     propose_next,
     run_bo,
-    update,
 )
-from .objectives import ObjectiveSpec, builtin_objective, recommended_space
+from .objectives import ObjectiveSpec, recommended_space
 from .trace_io import TraceWriter, read_trace, write_trace
 
 __version__ = "0.1.0"
@@ -53,7 +52,6 @@ __all__ = [
     "Trace",
     "TraceRecord",
     "TraceWriter",
-    "builtin_objective",
     "confidence_bound",
     "ei_monte_carlo_oracle",
     "eval_kernel",
@@ -73,6 +71,5 @@ __all__ = [
     "run_bo",
     "sample_posterior",
     "sample_prior",
-    "update",
     "write_trace",
 ]

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from . import gp
-from .loop import ObjectiveFailure, SearchSpace, Trace, TraceRecord, incumbent
+from .loop import SearchSpace, Trace, drive
+from .loop import incumbent  # noqa: F401  kept resolvable: perfbench/spans.py patches it by name
 
 
 def random_search_baseline(
@@ -18,33 +17,14 @@ def random_search_baseline(
     direction: str = gp.MINIMIZE,
     trace_writer=None,
 ) -> Trace:
-    """budget uniform evaluations in the box; deterministic given seed."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    """budget uniform evaluations in the box; deterministic given seed.
+
+    Evaluation, recording and failure handling are those of
+    :func:`gpbo.loop.drive`, which ``run_bo`` shares.
+    """
     rng = np.random.default_rng(seed)
-    obs = gp.empty_observations(space.dimension, direction=direction)
-    trace = Trace()
-    t_start = time.perf_counter()
-    for it in range(budget):
-        x = rng.uniform(space.lower, space.upper)
-        y = float(objective(x))
-        if not np.isfinite(y):
-            raise ObjectiveFailure(
-                f"objective returned non-finite value at iteration {it}", trace
-            )
-        obs = obs.append(x, y)
-        inc_x, inc_f = incumbent(obs)
-        rec = TraceRecord(
-            iteration=it,
-            x=x.copy(),
-            y=y,
-            incumbent_x=inc_x,
-            incumbent_f=inc_f,
-            acq_value=float("nan"),
-            hypers=None,
-            wall_ms=(time.perf_counter() - t_start) * 1e3,
-        )
-        trace.append(rec)
-        if trace_writer is not None:
-            trace_writer.write(rec)
-    return trace
+
+    def propose(it, X_seen, y_seen):
+        return rng.uniform(space.lower, space.upper), float("nan"), None
+
+    return drive(objective, propose, space.dimension, budget, direction, trace_writer)

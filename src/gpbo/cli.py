@@ -10,7 +10,8 @@ Subcommands:
 
 Configuration is a single JSON document (see README); a handful of flags
 override config fields.  Exit codes: 0 success, 2 config error, 3
-objective/protocol error, 4 numerical failure.
+objective/protocol error, 4 numerical failure, 5 I/O error (trace, summary
+or output file).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_OBJECTIVE = 3
 EXIT_NUMERICAL = 4
+EXIT_IO = 5
 
 _CONFIG_ERRORS = (
     LoopError,
@@ -57,7 +59,6 @@ _CONFIG_ERRORS = (
     TypeError,
     ValueError,
     json.JSONDecodeError,
-    OSError,
 )
 
 
@@ -137,60 +138,43 @@ def _emit_summary(summary: dict, path: str | None) -> None:
     print(text)
 
 
-def _cmd_run(args) -> int:
+def _cmd_optimize(args) -> int:
+    """``run`` and ``baseline``: one optimizer run, its trace and summary."""
     cfg = _load_config(args.config)
     obj_spec = _objective_spec(cfg, args)
     space = _space_from_config(cfg, obj_spec)
     bo_cfg = _bo_config(cfg, args)
-    trace_path = args.trace or cfg.get("output", {}).get("trace")
-    summary_path = args.summary or cfg.get("output", {}).get("summary")
+    output = cfg.get("output", {})
+    trace_path = args.trace or output.get("trace")
+    summary_path = args.summary or output.get("summary")
     writer = TraceWriter(trace_path, space.dimension) if trace_path else None
     t0 = time.perf_counter()
     try:
         with _open_objective(obj_spec) as objective:
-            trace = run_bo(objective, space, bo_cfg, trace_writer=writer)
+            if args.command == "run":
+                trace = run_bo(objective, space, bo_cfg, trace_writer=writer)
+            else:
+                trace = random_search_baseline(
+                    objective,
+                    space,
+                    bo_cfg.budget,
+                    bo_cfg.seed,
+                    direction=bo_cfg.direction,
+                    trace_writer=writer,
+                )
     finally:
         if writer:
             writer.close()
     echo = {
         "objective": obj_spec.to_json_dict(),
         "space": {"lower": space.lower.tolist(), "upper": space.upper.tolist()},
-        "bo": bo_cfg.to_json_dict(),
-        "trace": trace_path,
     }
+    if args.command == "run":
+        echo["bo"] = bo_cfg.to_json_dict()
+    else:
+        echo.update(budget=bo_cfg.budget, seed=bo_cfg.seed)
+    echo["trace"] = trace_path
     _emit_summary(_summary(trace, echo, time.perf_counter() - t0), summary_path)
-    return EXIT_OK
-
-
-def _cmd_baseline(args) -> int:
-    cfg = _load_config(args.config)
-    obj_spec = _objective_spec(cfg, args)
-    space = _space_from_config(cfg, obj_spec)
-    bo_cfg = _bo_config(cfg, args)
-    trace_path = args.trace or cfg.get("output", {}).get("trace")
-    writer = TraceWriter(trace_path, space.dimension) if trace_path else None
-    t0 = time.perf_counter()
-    try:
-        with _open_objective(obj_spec) as objective:
-            trace = random_search_baseline(
-                objective,
-                space,
-                bo_cfg.budget,
-                bo_cfg.seed,
-                direction=bo_cfg.direction,
-                trace_writer=writer,
-            )
-    finally:
-        if writer:
-            writer.close()
-    echo = {
-        "objective": obj_spec.to_json_dict(),
-        "space": {"lower": space.lower.tolist(), "upper": space.upper.tolist()},
-        "budget": bo_cfg.budget,
-        "seed": bo_cfg.seed,
-        "trace": trace_path,
-    }
-    _emit_summary(_summary(trace, echo, time.perf_counter() - t0), args.summary)
     return EXIT_OK
 
 
@@ -281,23 +265,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gpbo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="one Bayesian-optimization run")
-    run_p.add_argument("--config", required=True)
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--budget", type=int)
-    run_p.add_argument("--objective", help="builtin objective name override")
-    run_p.add_argument("--trace", help="trace CSV path override")
-    run_p.add_argument("--summary", help="summary JSON path")
-    run_p.set_defaults(func=_cmd_run)
-
-    base_p = sub.add_parser("baseline", help="random-search baseline run")
-    base_p.add_argument("--config", required=True)
-    base_p.add_argument("--seed", type=int)
-    base_p.add_argument("--budget", type=int)
-    base_p.add_argument("--objective")
-    base_p.add_argument("--trace")
-    base_p.add_argument("--summary")
-    base_p.set_defaults(func=_cmd_baseline)
+    for name, help_text in (
+        ("run", "one Bayesian-optimization run"),
+        ("baseline", "random-search baseline run"),
+    ):
+        opt_p = sub.add_parser(name, help=help_text)
+        opt_p.add_argument("--config", required=True)
+        opt_p.add_argument("--seed", type=int)
+        opt_p.add_argument("--budget", type=int)
+        opt_p.add_argument("--objective", help="builtin objective name override")
+        opt_p.add_argument("--trace", help="trace CSV path override")
+        opt_p.add_argument("--summary", help="summary JSON path override")
+        opt_p.set_defaults(func=_cmd_optimize)
 
     bench_p = sub.add_parser("bench", help="paired BO vs random-search benchmark")
     bench_p.add_argument("--config", required=True)
@@ -329,6 +308,9 @@ def main(argv=None) -> int:
     except FactorizationError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as e:
+        print(f"I/O error: {e}", file=sys.stderr)
+        return EXIT_IO
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -156,9 +156,3 @@ class ExternalObjective:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def evaluate_external(spec: ObjectiveSpec, x) -> float:
-    """One-off evaluation: launch, query once, reap."""
-    with ExternalObjective(spec) as obj:
-        return obj(x)

@@ -207,11 +207,6 @@ class Trace:
         return self.records[-1].incumbent_f
 
 
-def update(obs: ObservationSet, x, y: float) -> ObservationSet:
-    """Append one (x, y) pair, returning a new set (input left unchanged)."""
-    return obs.append(x, y)
-
-
 def incumbent(obs: ObservationSet) -> tuple[np.ndarray, float]:
     """Best observed (x, f) under the set's direction; ties take the
     earliest index."""
@@ -295,32 +290,48 @@ def _child_seed(root: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=root, spawn_key=(index,)).generate_state(1)[0])
 
 
-def run_bo(objective, space: SearchSpace, config: BoConfig, trace_writer=None) -> Trace:
-    """Full optimize-a-black-box run; returns the complete Trace.
+def drive(
+    objective, propose, dimension: int, budget: int, direction: str, trace_writer=None
+) -> Trace:
+    """Evaluate and record ``budget`` proposals; returns the complete Trace.
 
-    ``objective`` maps a point (native units) to a finite float.
-    ``trace_writer``, when given, receives each record as it is produced
-    (``trace_writer.write(record)``) so a crashed run leaves a partial trace
-    behind.  Raises :class:`ObjectiveFailure` (with the partial trace
-    attached) if the objective returns a non-finite value.
+    ``propose(it, X_seen, y_seen)`` returns ``(x, acq_value, hypers)`` for
+    iteration ``it``, given read-only views of the ``it`` points evaluated so
+    far.  The incumbent is a running best that keeps the earliest index on
+    ties, as :func:`incumbent` does.  ``trace_writer``, when given, has each
+    record passed to its ``write`` method as it is produced, so a crashed
+    run leaves a partial trace behind.  Raises
+    :class:`ObjectiveFailure` (with the partial trace attached) if the
+    objective returns a non-finite value.
     """
-    d = space.dimension
-    n_init = config.resolved_n_init(d)
-    sign = -1.0 if config.direction == gp.MINIMIZE else 1.0
-    obs = gp.empty_observations(d, direction=config.direction)
+    if budget < 1:
+        raise LoopError("budget must be at least 1")
+    if direction not in (gp.MINIMIZE, gp.MAXIMIZE):
+        raise LoopError(f"unknown direction {direction!r}")
+    minimize = direction == gp.MINIMIZE
+    X = np.empty((budget, dimension))
+    y = np.empty(budget)
+    X_seen, y_seen = X.view(), y.view()
+    X_seen.flags.writeable = y_seen.flags.writeable = False
+    best = 0
     trace = Trace()
     t_start = time.perf_counter()
-
-    def record(it: int, x: np.ndarray, y: float, acq_value: float, hypers):
-        nonlocal obs
-        obs = obs.append(x, y)
-        inc_x, inc_f = incumbent(obs)
+    for it in range(budget):
+        x, acq_value, hypers = propose(it, X_seen[:it], y_seen[:it])
+        y_it = float(objective(x))
+        if not np.isfinite(y_it):
+            raise ObjectiveFailure(
+                f"objective returned non-finite value at iteration {it}", trace
+            )
+        X[it], y[it] = x, y_it
+        if (y_it < y[best]) if minimize else (y_it > y[best]):
+            best = it
         rec = TraceRecord(
             iteration=it,
-            x=np.asarray(x, dtype=float).copy(),
-            y=float(y),
-            incumbent_x=inc_x,
-            incumbent_f=inc_f,
+            x=X[it].copy(),
+            y=y_it,
+            incumbent_x=X[best].copy(),
+            incumbent_f=float(y[best]),
             acq_value=acq_value,
             hypers=hypers,
             wall_ms=(time.perf_counter() - t_start) * 1e3,
@@ -328,24 +339,29 @@ def run_bo(objective, space: SearchSpace, config: BoConfig, trace_writer=None) -
         trace.append(rec)
         if trace_writer is not None:
             trace_writer.write(rec)
+    return trace
 
-    def evaluate(it: int, x: np.ndarray, acq_value: float, hypers) -> None:
-        y = objective(x)
-        y = float(y)
-        if not np.isfinite(y):
-            raise ObjectiveFailure(
-                f"objective returned non-finite value at iteration {it}", trace
-            )
-        record(it, x, y, acq_value, hypers)
 
+def run_bo(objective, space: SearchSpace, config: BoConfig, trace_writer=None) -> Trace:
+    """Full optimize-a-black-box run; returns the complete Trace.
+
+    ``objective`` maps a point (native units) to a finite float.  The first
+    ``n_init`` points are scrambled Halton; every later one refits the GP on
+    all points seen so far and maximizes the acquisition.  ``trace_writer``
+    and :class:`ObjectiveFailure` behave as in :func:`drive`.
+    """
+    d = space.dimension
+    n_init = config.resolved_n_init(d)
+    sign = -1.0 if config.direction == gp.MINIMIZE else 1.0
     init_X = halton_points(space, n_init, _child_seed(config.seed, 0))
-    for it in range(n_init):
-        evaluate(it, init_X[it], float("nan"), None)
-
     prev_fit: tuple[KernelSpec, float] | None = None
-    for it in range(n_init, config.budget):
-        X_unit = space.to_unit(obs.X)
-        y_int = sign * obs.y
+
+    def propose(it: int, X_seen: np.ndarray, y_seen: np.ndarray):
+        nonlocal prev_fit
+        if it < n_init:
+            return init_X[it], float("nan"), None
+        X_unit = space.to_unit(X_seen)
+        y_int = sign * y_seen
         y_mean = float(np.mean(y_int))
         y_sd = float(np.std(y_int))
         if y_sd <= 0.0:
@@ -391,6 +407,6 @@ def run_bo(objective, space: SearchSpace, config: BoConfig, trace_writer=None) -
             "y_mean": y_mean,
             "y_sd": y_sd,
         }
-        evaluate(it, space.from_unit(x_unit), acq_value, hypers)
+        return space.from_unit(x_unit), acq_value, hypers
 
-    return trace
+    return drive(objective, propose, d, config.budget, config.direction, trace_writer)

@@ -61,16 +61,8 @@ _BUILTINS = {
 }
 
 
-def builtin_objective(name: str, x) -> float:
-    """Evaluate a builtin by name."""
-    if name not in _BUILTINS:
-        raise ObjectiveError(
-            f"unknown builtin objective {name!r}; have {sorted(_BUILTINS)}"
-        )
-    return _BUILTINS[name][0](x)
-
-
 def builtin_function(name: str):
+    """The builtin objective called ``name``, as a callable of one point."""
     if name not in _BUILTINS:
         raise ObjectiveError(
             f"unknown builtin objective {name!r}; have {sorted(_BUILTINS)}"

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpbo.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OBJECTIVE, EXIT_OK, main
+from gpbo.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OBJECTIVE, EXIT_OK, main
 from gpbo.trace_io import read_trace
 
 SPHERE_WORKER = Path(__file__).resolve().parents[1] / "demos" / "sphere_worker.py"
@@ -150,6 +150,21 @@ class TestBaseline:
         trace = read_trace(trace_path)
         assert len(trace) == 15
         assert all(math.isnan(r.acq_value) for r in trace)
+
+    def test_summary_path_from_config(self, tmp_path, capsys):
+        summary_path = tmp_path / "rs-summary.json"
+        cfg = write_config(tmp_path, output={"summary": str(summary_path)})
+        assert main(["baseline", "--config", str(cfg)]) == EXIT_OK
+        summary = json.loads(summary_path.read_text())
+        assert summary["summary"]["evaluations"] == 10
+        assert summary["config"]["seed"] == 0
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_trace_write_failure_is_io_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        rc = main(["baseline", "--config", str(cfg), "--trace", "/dev/full"])
+        assert rc == EXIT_IO
+        assert capsys.readouterr().err.startswith("I/O error: ")
 
 
 class TestBench:

@@ -9,7 +9,6 @@ from gpbo.external import (
     ProtocolError,
     WorkerCrashError,
     WorkerTimeoutError,
-    evaluate_external,
 )
 from gpbo.objectives import ObjectiveSpec
 
@@ -94,20 +93,24 @@ class TestPersistentWorker:
 
 class TestOneshotWorker:
     def test_sphere_echo(self):
-        assert evaluate_external(worker_spec(SPHERE_WORKER, mode="oneshot"), [3.0]) == 9.0
+        with ExternalObjective(worker_spec(SPHERE_WORKER, mode="oneshot")) as obj:
+            assert obj([3.0]) == 9.0
 
     def test_timeout(self, tmp_path):
         worker = write_worker(tmp_path, "time.sleep(30)\n")
         spec = worker_spec(worker, mode="oneshot", timeout=0.5)
-        with pytest.raises(WorkerTimeoutError):
-            evaluate_external(spec, [0.5])
+        with ExternalObjective(spec) as obj:
+            with pytest.raises(WorkerTimeoutError):
+                obj([0.5])
 
     def test_nonzero_exit_is_crash(self, tmp_path):
         worker = write_worker(tmp_path, "sys.exit(3)\n")
-        with pytest.raises(WorkerCrashError):
-            evaluate_external(worker_spec(worker, mode="oneshot"), [0.5])
+        with ExternalObjective(worker_spec(worker, mode="oneshot")) as obj:
+            with pytest.raises(WorkerCrashError):
+                obj([0.5])
 
     def test_empty_output_is_protocol_error(self, tmp_path):
         worker = write_worker(tmp_path, "pass\n")
-        with pytest.raises(ProtocolError):
-            evaluate_external(worker_spec(worker, mode="oneshot"), [0.5])
+        with ExternalObjective(worker_spec(worker, mode="oneshot")) as obj:
+            with pytest.raises(ProtocolError):
+                obj([0.5])

@@ -5,6 +5,7 @@ import pytest
 
 from gpbo import gp
 from gpbo.acquisition import AcquisitionSpec, expected_improvement
+from gpbo.baseline import random_search_baseline
 from gpbo.gp import ObservationSet, fit_posterior, predict
 from gpbo.kernels import KernelSpec
 from gpbo.loop import (
@@ -17,9 +18,9 @@ from gpbo.loop import (
     propose_next,
     run_bo,
     unit_cube,
-    update,
 )
 from gpbo.objectives import sphere
+from gpbo.trace_io import TraceWriter, read_trace, traces_equal
 
 ISO = KernelSpec("sq_exp_iso")
 
@@ -75,13 +76,15 @@ class TestIncumbent:
 
 
 class TestUpdate:
+    """``ObservationSet.append``: the persistent, copying update."""
+
     def test_append_to_empty(self):
-        obs = update(gp.empty_observations(2), [0.5, 0.5], 1.0)
+        obs = gp.empty_observations(2).append([0.5, 0.5], 1.0)
         assert len(obs) == 1
 
     def test_original_unchanged(self):
         obs = ObservationSet([[0.0]], [1.0])
-        obs2 = update(obs, [1.0], 2.0)
+        obs2 = obs.append([1.0], 2.0)
         assert len(obs) == 1 and len(obs2) == 2
 
     def test_order_preserved_against_replay(self):
@@ -89,13 +92,13 @@ class TestUpdate:
         xs, ys = rng.normal(size=(10, 1)), rng.normal(size=10)
         obs = gp.empty_observations(1)
         for x, y in zip(xs, ys):
-            obs = update(obs, x, y)
+            obs = obs.append(x, y)
         np.testing.assert_array_equal(obs.X, xs)
         np.testing.assert_array_equal(obs.y, ys)
 
     def test_non_finite_raises(self):
         with pytest.raises(gp.GpError):
-            update(ObservationSet([[0.0]], [1.0]), [1.0], math.nan)
+            ObservationSet([[0.0]], [1.0]).append([1.0], math.nan)
 
 
 class TestProposeNext:
@@ -190,17 +193,6 @@ class TestRunBo:
         incs = [r.incumbent_f for r in trace]
         assert all(a <= b for a, b in zip(incs, incs[1:]))
 
-    def test_non_finite_objective_aborts_with_partial_trace(self):
-        calls = {"n": 0}
-
-        def bad(x):
-            calls["n"] += 1
-            return math.nan if calls["n"] == 4 else sphere(x)
-
-        with pytest.raises(ObjectiveFailure) as err:
-            run_bo(bad, SearchSpace([-2.0], [2.0]), sphere_config(budget=10))
-        assert len(err.value.trace) == 3
-
     def test_fixed_kernel_skips_fitting(self):
         cfg = sphere_config(
             budget=12,
@@ -215,6 +207,49 @@ class TestRunBo:
         cfg = sphere_config(budget=30, seed=0)
         trace = run_bo(sphere, SearchSpace([-2, -2], [2, 2]), cfg)
         assert trace.best_f < 0.05
+
+
+def _run_bo(objective, space, budget, seed, direction=gp.MINIMIZE, trace_writer=None):
+    cfg = sphere_config(budget=budget, seed=seed, direction=direction)
+    return run_bo(objective, space, cfg, trace_writer=trace_writer)
+
+
+BOTH_PROPOSERS = pytest.mark.parametrize(
+    "optimizer", [_run_bo, random_search_baseline], ids=["run_bo", "random_search_baseline"]
+)
+
+
+class TestDriver:
+    """The evaluate-and-record path that ``run_bo`` and random search share."""
+
+    @BOTH_PROPOSERS
+    def test_non_finite_objective_aborts_with_partial_trace(self, optimizer, tmp_path):
+        calls = {"n": 0}
+
+        def bad(x):
+            calls["n"] += 1
+            return math.nan if calls["n"] == 4 else sphere(x)
+
+        path = tmp_path / "partial.csv"
+        with TraceWriter(path, 1) as writer, pytest.raises(ObjectiveFailure) as err:
+            optimizer(bad, SearchSpace([-2.0], [2.0]), 10, 0, trace_writer=writer)
+        assert len(err.value.trace) == 3
+        assert traces_equal(read_trace(path), err.value.trace)
+
+    @BOTH_PROPOSERS
+    @pytest.mark.parametrize("direction", [gp.MINIMIZE, gp.MAXIMIZE])
+    @pytest.mark.parametrize("objective", ["sphere", "tied"])
+    def test_incumbent_matches_reference_on_every_row(self, optimizer, direction, objective):
+        f = sphere if objective == "sphere" else (lambda x: float(round(x[0])))
+        trace = optimizer(f, SearchSpace([-2.0, -2.0], [2.0, 2.0]), 14, 3, direction=direction)
+        X = np.array([r.x for r in trace])
+        y = np.array([r.y for r in trace])
+        if objective == "tied":
+            assert len(np.unique(y)) < len(y)
+        for k, rec in enumerate(trace):
+            ref_x, ref_f = incumbent(ObservationSet(X[: k + 1], y[: k + 1], direction))
+            assert np.array_equal(rec.incumbent_x, ref_x)
+            assert rec.incumbent_f == ref_f
 
 
 class TestBoConfigValidation:

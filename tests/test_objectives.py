@@ -10,7 +10,7 @@ from gpbo.objectives import (
     ObjectiveError,
     ObjectiveSpec,
     branin,
-    builtin_objective,
+    builtin_function,
     recommended_space,
     rosenbrock,
     sphere,
@@ -20,7 +20,7 @@ from gpbo.objectives import (
 class TestBuiltins:
     def test_sphere_minimum_at_origin(self):
         assert sphere([0.0, 0.0, 0.0]) == 0.0
-        assert builtin_objective("sphere", [1.0, 2.0]) == 5.0
+        assert builtin_function("sphere")([1.0, 2.0]) == 5.0
 
     def test_rosenbrock_minimum(self):
         assert rosenbrock([1.0, 1.0]) == 0.0
@@ -54,7 +54,7 @@ class TestBuiltins:
 
     def test_unknown_name_raises(self):
         with pytest.raises(ObjectiveError):
-            builtin_objective("ackley", [0.0])
+            builtin_function("ackley")([0.0])
 
     def test_determinism(self):
         x = [0.3, -1.2]
