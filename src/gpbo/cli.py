@@ -11,7 +11,7 @@ Subcommands:
 Configuration is a single JSON document (see README); a handful of flags
 override config fields.  Exit codes: 0 success, 2 config error, 3
 objective/protocol error, 4 numerical failure, 5 I/O error (trace, summary
-or output file).
+or output file).  Any other exception is a program error and propagates.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import time
 import numpy as np
 
 from . import gp
-from .acquisition import AcquisitionError
 from .baseline import random_search_baseline
 from .external import ExternalObjective, ExternalObjectiveError
-from .gp import FactorizationError, GpError, fit_posterior
+from .gp import FactorizationError, fit_posterior
 from .kernels import KernelError, KernelSpec
 from .loop import (
     BoConfig,
@@ -48,22 +47,24 @@ EXIT_OBJECTIVE = 3
 EXIT_NUMERICAL = 4
 EXIT_IO = 5
 
-_CONFIG_ERRORS = (
-    LoopError,
-    ObjectiveError,
-    KernelError,
-    AcquisitionError,
-    GpError,
-    TraceFormatError,
-    KeyError,
-    TypeError,
-    ValueError,
-    json.JSONDecodeError,
-)
-
-
 class ConfigError(ValueError):
     pass
+
+
+# input errors that only surface once the run starts: a fixed kernel or a
+# builtin objective that does not fit the space, or a bad trace to sample from
+_CONFIG_ERRORS = (ConfigError, LoopError, ObjectiveError, KernelError, TraceFormatError)
+
+
+@contextlib.contextmanager
+def _parsing(where: str):
+    """Report malformed configuration input as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad {where}: {type(e).__name__}: {e}") from e
 
 
 def _load_config(path: str) -> dict:
@@ -79,34 +80,37 @@ def _load_config(path: str) -> dict:
 
 def _space_from_config(cfg: dict, objective: ObjectiveSpec | None) -> SearchSpace:
     if "space" in cfg:
-        sp = cfg["space"]
-        return SearchSpace(np.asarray(sp["lower"]), np.asarray(sp["upper"]))
+        with _parsing("'space' section"):
+            sp = cfg["space"]
+            return SearchSpace(np.asarray(sp["lower"]), np.asarray(sp["upper"]))
     if objective is not None and objective.kind == "builtin":
         return recommended_space(objective.name)
     raise ConfigError("config needs a 'space' section (or a builtin objective)")
 
 
 def _objective_spec(cfg: dict, args) -> ObjectiveSpec:
-    if getattr(args, "objective", None):
-        return ObjectiveSpec(kind="builtin", name=args.objective)
-    if "objective" not in cfg:
-        raise ConfigError("config needs an 'objective' section")
-    return ObjectiveSpec.from_json_dict(cfg["objective"])
+    with _parsing("'objective' section"):
+        if getattr(args, "objective", None):
+            return ObjectiveSpec(kind="builtin", name=args.objective)
+        if "objective" not in cfg:
+            raise ConfigError("config needs an 'objective' section")
+        return ObjectiveSpec.from_json_dict(cfg["objective"])
 
 
 def _bo_config(cfg: dict, args, require_seed_flag: bool = False) -> BoConfig:
-    bo = dict(cfg.get("bo", {}))
-    if getattr(args, "budget", None) is not None:
-        bo["budget"] = args.budget
-    if getattr(args, "seed", None) is not None:
-        bo["seed"] = args.seed
-    elif require_seed_flag:
-        raise ConfigError("--seed is mandatory in benchmark mode")
-    if "budget" not in bo:
-        raise ConfigError("config needs bo.budget")
-    if "seed" not in bo:
-        raise ConfigError("bo.seed missing (set it in the config or pass --seed)")
-    return BoConfig.from_json_dict(bo)
+    with _parsing("'bo' section"):
+        bo = dict(cfg.get("bo", {}))
+        if getattr(args, "budget", None) is not None:
+            bo["budget"] = args.budget
+        if getattr(args, "seed", None) is not None:
+            bo["seed"] = args.seed
+        elif require_seed_flag:
+            raise ConfigError("--seed is mandatory in benchmark mode")
+        if "budget" not in bo:
+            raise ConfigError("config needs bo.budget")
+        if "seed" not in bo:
+            raise ConfigError("bo.seed missing (set it in the config or pass --seed)")
+        return BoConfig.from_json_dict(bo)
 
 
 @contextlib.contextmanager
@@ -180,13 +184,14 @@ def _cmd_optimize(args) -> int:
 
 def _parse_seeds(text: str) -> list[int]:
     seeds: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part[1:]:
-            lo, hi = part.rsplit("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(part))
+    with _parsing("--seeds"):
+        for part in text.split(","):
+            part = part.strip()
+            if "-" in part[1:]:
+                lo, hi = part.rsplit("-", 1)
+                seeds.extend(range(int(lo), int(hi) + 1))
+            else:
+                seeds.append(int(part))
     if not seeds:
         raise ConfigError("no seeds given")
     return seeds
@@ -227,15 +232,18 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sample(args) -> int:
     cfg = _load_config(args.config)
-    sample_cfg = cfg.get("sample")
-    if not sample_cfg or "kernel" not in sample_cfg:
-        raise ConfigError("config needs a 'sample' section with a kernel")
-    kernel = KernelSpec.from_json_dict(sample_cfg["kernel"])
+    with _parsing("'sample' section"):
+        sample_cfg = cfg.get("sample")
+        if not sample_cfg or "kernel" not in sample_cfg:
+            raise ConfigError("config needs a 'sample' section with a kernel")
+        kernel = KernelSpec.from_json_dict(sample_cfg["kernel"])
+        n_points = int(sample_cfg.get("n_points", 200))
+        n_draws = args.draws if args.draws is not None else int(sample_cfg.get("n_draws", 5))
+        seed = args.seed if args.seed is not None else int(sample_cfg.get("seed", 0))
+        noise = float(sample_cfg.get("noise_variance", 0.0))
+        if not (noise >= 0.0 and np.isfinite(noise)):
+            raise ConfigError("sample.noise_variance must be nonnegative and finite")
     space = _space_from_config(cfg, None)
-    n_points = int(sample_cfg.get("n_points", 200))
-    n_draws = args.draws if args.draws is not None else int(sample_cfg.get("n_draws", 5))
-    seed = args.seed if args.seed is not None else int(sample_cfg.get("seed", 0))
-    noise = float(sample_cfg.get("noise_variance", 0.0))
     X = halton_points(space, n_points, seed)
     order = np.argsort(X[:, 0]) if space.dimension == 1 else np.arange(n_points)
     X = X[order]
@@ -311,9 +319,6 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except _CONFIG_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,8 +1,10 @@
 """Exact Gaussian-process regression.
 
 Posterior inference is done by Cholesky factorization of the Gram matrix
-``K + noise * I + jitter * I`` with jitter escalation (starting at
-``1e-10 * signal_variance``, doubling up to ``1e-4 * signal_variance``).
+``K + noise * I + jitter * I``.  The exact matrix is tried first; on failure
+the jitter starts at ``1e-12 * scale`` and doubles up to ``1e-4 * scale``,
+where ``scale`` is the signal variance (fits) or ``max(max diag, 1)``
+(sampling).  This one ladder is the only Cholesky in the library.
 The fitted model is frozen: ``alpha`` solves ``(K + noise I) alpha = y - m0``
 so the predictive mean is the kernel expansion ``m0 + k(x*, X) @ alpha``.
 
@@ -14,15 +16,13 @@ L-BFGS on the log marginal likelihood in log-parameter space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import minimize
 
 from .kernels import (
-    DEFAULT_JITTER_SCALE,
-    MAX_JITTER_SCALE,
     SQ_EXP_ISO,
     KernelSpec,
     cross_covariance,
@@ -34,6 +34,13 @@ MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+#: first jitter rung after the exact matrix fails, as a fraction of the scale
+DEFAULT_JITTER_SCALE = 1e-12
+#: jitter escalation cap, as a fraction of the scale
+MAX_JITTER_SCALE = 1e-4
+#: L-BFGS iteration cap per hyperparameter restart
+LBFGS_MAXITER = 200
 
 
 class GpError(ValueError):
@@ -91,12 +98,6 @@ class ObservationSet:
         )
 
 
-def empty_observations(dimension: int, direction: str = MINIMIZE) -> ObservationSet:
-    return ObservationSet(
-        X=np.empty((0, dimension)), y=np.empty(0), direction=direction
-    )
-
-
 @dataclass(frozen=True)
 class GpPosterior:
     """Frozen fitted model: Cholesky factor of K + noise I + jitter I."""
@@ -121,15 +122,17 @@ class Prediction:
     covariance: np.ndarray | None = None
 
 
-def _chol_with_jitter(K: np.ndarray, signal_variance: float) -> tuple[np.ndarray, float]:
+def _chol_with_jitter(K: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     """Lower Cholesky of K + jitter I, escalating jitter on failure.
 
     The exact matrix is tried first so well-conditioned noiseless fits keep
     zero posterior variance at the training points; the jitter ladder
-    (1e-10 to 1e-4 of the signal variance) only kicks in when that fails.
+    (1e-12 to 1e-4 of ``scale``) only kicks in when that fails.  The first
+    rung adds a standard deviation of only ``1e-6 * sqrt(scale)``, so draws
+    from a noiseless posterior still pass through its training values.
     """
     jitter = 0.0
-    max_jitter = MAX_JITTER_SCALE * signal_variance
+    max_jitter = MAX_JITTER_SCALE * scale
     while True:
         try:
             L = cholesky(K + jitter * np.eye(K.shape[0]), lower=True)
@@ -137,7 +140,7 @@ def _chol_with_jitter(K: np.ndarray, signal_variance: float) -> tuple[np.ndarray
         except np.linalg.LinAlgError:
             pass
         if jitter == 0.0:
-            jitter = DEFAULT_JITTER_SCALE * signal_variance
+            jitter = DEFAULT_JITTER_SCALE * scale
             continue
         if jitter >= max_jitter:
             diag = np.diag(K)
@@ -267,6 +270,13 @@ class HyperBounds:
             if not (0 < lo < hi and np.isfinite(hi)):
                 raise GpError("hyperparameter bounds must be finite and ordered")
 
+    def to_json_dict(self) -> dict:
+        return {name: list(pair) for name, pair in asdict(self).items()}
+
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "HyperBounds":
+        return cls(**{name: tuple(pair) for name, pair in obj.items()})
+
 
 def optimize_hypers(
     obs: ObservationSet,
@@ -277,46 +287,32 @@ def optimize_hypers(
     nu: float | None = None,
     fixed_noise: float | None = None,
     extra_starts: list[tuple[KernelSpec, float]] | None = None,
-    maxiter: int = 200,
 ) -> tuple[KernelSpec, float]:
     """Multi-start maximization of the log marginal likelihood.
 
-    Returns the best ``(KernelSpec, noise_variance)`` found.  When
-    ``fixed_noise`` is given the noise variance is held there and excluded
-    from the search.  ``extra_starts`` adds warm-start points to the
+    Returns the best ``(KernelSpec, noise_variance)`` found.  The search
+    runs over ``KernelSpec.log_hypers()`` followed by ``log noise_variance``;
+    when ``fixed_noise`` is given the noise variance is held there and
+    excluded from the search.  ``extra_starts`` adds warm-start points to the
     log-uniform restarts.  Deterministic given ``seed``.
     """
     if len(obs) < 2:
         raise GpError("optimize_hypers needs at least two observations")
     bounds = bounds or HyperBounds()
-    d = obs.dimension
-    n_ls = 1 if family == SQ_EXP_ISO else d
+    ones = np.ones(1 if family == SQ_EXP_ISO else obs.dimension)
+    template = KernelSpec(family, length_scales=ones, nu=nu)
+    n_kernel = template.n_hypers
     fit_noise = fixed_noise is None
-
-    lo = np.concatenate(
-        (
-            [math.log(bounds.signal_variance[0])],
-            np.full(n_ls, math.log(bounds.length_scale[0])),
-            [math.log(bounds.noise_variance[0])] if fit_noise else [],
-        )
-    )
-    hi = np.concatenate(
-        (
-            [math.log(bounds.signal_variance[1])],
-            np.full(n_ls, math.log(bounds.length_scale[1])),
-            [math.log(bounds.noise_variance[1])] if fit_noise else [],
-        )
-    )
+    pairs = [bounds.signal_variance] + [bounds.length_scale] * (n_kernel - 1)
+    if fit_noise:
+        pairs.append(bounds.noise_variance)
+    # math.log, not np.log: the two can differ in the last bit
+    lo = np.array([math.log(a) for a, _ in pairs])
+    hi = np.array([math.log(b) for _, b in pairs])
 
     def unpack(z: np.ndarray) -> tuple[KernelSpec, float]:
-        spec = KernelSpec(
-            family=family,
-            signal_variance=math.exp(z[0]),
-            length_scales=np.exp(z[1 : 1 + n_ls]),
-            nu=nu,
-        )
         noise = math.exp(z[-1]) if fit_noise else fixed_noise
-        return spec, noise
+        return template.with_log_hypers(z[:n_kernel]), noise
 
     def neg_lml(z: np.ndarray) -> tuple[float, np.ndarray]:
         spec, noise = unpack(z)
@@ -343,7 +339,7 @@ def optimize_hypers(
             jac=True,
             method="L-BFGS-B",
             bounds=list(zip(lo, hi)),
-            options={"maxiter": maxiter},
+            options={"maxiter": LBFGS_MAXITER},
         )
         if np.isfinite(res.fun) and res.fun < best_val:
             best_val, best_z = res.fun, res.x
@@ -353,11 +349,7 @@ def optimize_hypers(
 
 
 def sample_function(
-    mean: np.ndarray,
-    covariance: np.ndarray,
-    n_draws: int,
-    seed: int,
-    jitter_scale: float = 1e-12,
+    mean: np.ndarray, covariance: np.ndarray, n_draws: int, seed: int
 ) -> np.ndarray:
     """Draw from N(mean, covariance); returns an (n_draws, m) matrix.
 
@@ -370,16 +362,7 @@ def sample_function(
     m = mean.size
     if cov.shape != (m, m):
         raise GpError("covariance shape does not match mean length")
-    scale = max(float(np.max(np.diag(cov))), 1.0)
-    jitter = jitter_scale * scale
-    while True:
-        try:
-            L = cholesky(cov + jitter * np.eye(m), lower=True)
-            break
-        except np.linalg.LinAlgError:
-            if jitter >= MAX_JITTER_SCALE * scale:
-                raise FactorizationError("sampling covariance not factorizable")
-            jitter *= 2.0
+    L, _ = _chol_with_jitter(cov, max(float(np.max(np.diag(cov))), 1.0))
     z = np.random.default_rng(seed).standard_normal((n_draws, m))
     return mean + z @ L.T
 

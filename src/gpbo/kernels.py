@@ -31,11 +31,6 @@ MATERN = "matern"
 _FAMILIES = (SQ_EXP_ISO, SQ_EXP_ARD, MATERN)
 _MATERN_NUS = (0.5, 1.5, 2.5)
 
-#: default diagonal jitter, as a fraction of the signal variance
-DEFAULT_JITTER_SCALE = 1e-10
-#: jitter escalation cap, as a fraction of the signal variance
-MAX_JITTER_SCALE = 1e-4
-
 
 class KernelError(ValueError):
     """Invalid kernel specification or kernel-evaluation input."""

@@ -15,7 +15,7 @@ fully deterministic for a deterministic objective.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.stats import qmc
@@ -120,6 +120,8 @@ class BoConfig:
             raise LoopError("budget must be positive")
         if self.n_init is not None and not (1 <= self.n_init <= self.budget):
             raise LoopError("need 1 <= n_init <= budget")
+        if self.fixed_kernel is None and self.n_init == 1 and self.budget > 1:
+            raise LoopError("fitting hyperparameters needs n_init >= 2")
         if self.direction not in (gp.MINIMIZE, gp.MAXIMIZE):
             raise LoopError(f"unknown direction {self.direction!r}")
         if isinstance(self.noise_variance, str):
@@ -142,22 +144,11 @@ class BoConfig:
         return 1024 * dimension
 
     def to_json_dict(self) -> dict:
-        return {
-            "budget": self.budget,
-            "seed": self.seed,
-            "n_init": self.n_init,
-            "direction": self.direction,
-            "kernel_family": self.kernel_family,
-            "nu": self.nu,
-            "noise_variance": self.noise_variance,
-            "acquisition": self.acquisition.to_json_dict(),
-            "candidate_count": self.candidate_count,
-            "refine_iters": self.refine_iters,
-            "hyper_restarts": self.hyper_restarts,
-            "fixed_kernel": (
-                None if self.fixed_kernel is None else self.fixed_kernel.to_json_dict()
-            ),
-        }
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.to_json_dict() if hasattr(value, "to_json_dict") else value
+        return out
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BoConfig":
@@ -166,6 +157,8 @@ class BoConfig:
             obj["acquisition"] = AcquisitionSpec.from_json_dict(obj["acquisition"])
         if obj.get("fixed_kernel") is not None:
             obj["fixed_kernel"] = KernelSpec.from_json_dict(obj["fixed_kernel"])
+        if obj.get("hyper_bounds") is not None:
+            obj["hyper_bounds"] = HyperBounds.from_json_dict(obj["hyper_bounds"])
         known = {k: v for k, v in obj.items() if k in cls.__dataclass_fields__}
         unknown = set(obj) - set(known)
         if unknown:
@@ -351,6 +344,8 @@ def run_bo(objective, space: SearchSpace, config: BoConfig, trace_writer=None) -
     and :class:`ObjectiveFailure` behave as in :func:`drive`.
     """
     d = space.dimension
+    if config.fixed_kernel is not None:
+        config.fixed_kernel.check_dimension(d)
     n_init = config.resolved_n_init(d)
     sign = -1.0 if config.direction == gp.MINIMIZE else 1.0
     init_X = halton_points(space, n_init, _child_seed(config.seed, 0))

@@ -72,8 +72,7 @@ def builtin_function(name: str):
 
 def recommended_space(name: str, dimension: int | None = None) -> SearchSpace:
     """Default search box for a builtin, tiled to ``dimension`` if needed."""
-    if name not in _BUILTINS:
-        raise ObjectiveError(f"unknown builtin objective {name!r}")
+    builtin_function(name)
     lo, hi = _BUILTINS[name][1]
     if name == "branin":
         if dimension not in (None, 2):
@@ -100,8 +99,7 @@ class ObjectiveSpec:
 
     def __post_init__(self):
         if self.kind == "builtin":
-            if self.name not in _BUILTINS:
-                raise ObjectiveError(f"unknown builtin objective {self.name!r}")
+            builtin_function(self.name)
         elif self.kind == "external":
             if not self.command:
                 raise ObjectiveError("external objective requires a command")

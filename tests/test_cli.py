@@ -137,6 +137,42 @@ class TestRun:
         cfg = write_config(tmp_path, bo={"budget": 10})
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_hyper_bounds_from_config(self, tmp_path, capsys):
+        bounds = {
+            "signal_variance": [0.1, 10.0],
+            "length_scale": [0.05, 5.0],
+            "noise_variance": [1e-6, 0.1],
+        }
+        cfg = write_config(
+            tmp_path, bo={"budget": 8, "n_init": 5, "seed": 0, "hyper_bounds": bounds}
+        )
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        echo = json.loads(capsys.readouterr().out)["config"]
+        assert echo["bo"]["hyper_bounds"] == bounds
+
+    def test_fixed_kernel_dimension_checked_before_first_evaluation(
+        self, tmp_path, capsys
+    ):
+        kernel = {"family": "matern", "signal_variance": 1.0,
+                  "length_scales": [0.5, 0.5, 0.5], "nu": 2.5}
+        cfg = write_config(
+            tmp_path, bo={"budget": 10, "n_init": 5, "seed": 0, "fixed_kernel": kernel}
+        )
+        trace_path = tmp_path / "t.csv"
+        rc = main(["run", "--config", str(cfg), "--trace", str(trace_path)])
+        assert rc == EXIT_CONFIG
+        assert "3 length-scales" in capsys.readouterr().err
+        assert len(read_trace(trace_path)) == 0
+
+    def test_program_error_is_not_config_error(self, tmp_path, monkeypatch):
+        def broken_run_bo(*args, **kwargs):
+            raise ValueError("a bug, not a config problem")
+
+        monkeypatch.setattr("gpbo.cli.run_bo", broken_run_bo)
+        cfg = write_config(tmp_path)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["run", "--config", str(cfg)])
+
 
 class TestBaseline:
     def test_baseline_run(self, tmp_path, capsys):
@@ -239,4 +275,9 @@ class TestSample:
 
     def test_missing_sample_section_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
+        assert main(["sample", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_negative_noise_is_config_error(self, tmp_path, capsys):
+        kernel = {"family": "sq_exp_iso", "signal_variance": 1.0, "length_scales": [0.3]}
+        cfg = write_config(tmp_path, sample={"kernel": kernel, "noise_variance": -1.0})
         assert main(["sample", "--config", str(cfg)]) == EXIT_CONFIG

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gpbo.gp import (
+    FactorizationError,
     GpError,
     HyperBounds,
     ObservationSet,
@@ -11,6 +12,7 @@ from gpbo.gp import (
     log_marginal_likelihood,
     optimize_hypers,
     predict,
+    sample_function,
     sample_posterior,
     sample_prior,
 )
@@ -288,6 +290,36 @@ class TestOptimizeHypers:
         with pytest.raises(GpError):
             optimize_hypers(ObservationSet([[0.0]], [1.0]))
 
+    @pytest.mark.parametrize(
+        "family, nu", [("sq_exp_iso", None), ("sq_exp_ard", None), ("matern", 2.5)]
+    )
+    def test_fixed_noise_is_returned_exactly(self, family, nu):
+        rng = np.random.default_rng(53)
+        obs, _, _, _ = random_instance(rng, n=10, d=2)
+        kernel, noise_hat = optimize_hypers(
+            obs, family=family, nu=nu, n_restarts=2, seed=4, fixed_noise=0.0123
+        )
+        assert noise_hat == 0.0123
+        assert kernel.family == family and kernel.nu == nu
+        assert kernel.length_scales.size == (1 if family == "sq_exp_iso" else 2)
+
+    @pytest.mark.parametrize("fit_noise", [True, False])
+    def test_warm_start_never_ends_below_its_own_lml(self, fit_noise):
+        bounds = HyperBounds((1e-2, 1e2), (1e-1, 1e1), (1e-6, 1.0))
+        rng = np.random.default_rng(59)
+        for _ in range(5):
+            obs, kernel0, noise0, _ = random_instance(rng, n=12, d=2)
+            kernel, noise_hat = optimize_hypers(
+                obs,
+                family="sq_exp_ard",
+                bounds=bounds,
+                n_restarts=0,
+                fixed_noise=None if fit_noise else noise0,
+                extra_starts=[(kernel0, noise0)],
+            )
+            start = log_marginal_likelihood(obs, kernel0, noise0)
+            assert log_marginal_likelihood(obs, kernel, noise_hat) >= start
+
 
 class TestSampling:
     def test_same_seed_identical_draws(self):
@@ -303,6 +335,10 @@ class TestSampling:
         np.testing.assert_allclose(
             draws, np.tile(obs.y, (200, 1)), atol=1e-5
         )
+
+    def test_indefinite_covariance_raises(self):
+        with pytest.raises(FactorizationError):
+            sample_function(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 3, seed=0)
 
     def test_prior_empirical_covariance(self):
         X = np.array([[0.0], [0.7]])

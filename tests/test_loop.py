@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from gpbo import gp
 from gpbo.acquisition import AcquisitionSpec, expected_improvement
 from gpbo.baseline import random_search_baseline
-from gpbo.gp import ObservationSet, fit_posterior, predict
+from gpbo.gp import HyperBounds, ObservationSet, fit_posterior, predict
 from gpbo.kernels import KernelSpec
 from gpbo.loop import (
     BoConfig,
@@ -72,14 +73,14 @@ class TestIncumbent:
 
     def test_empty_raises(self):
         with pytest.raises(LoopError):
-            incumbent(gp.empty_observations(1))
+            incumbent(ObservationSet(np.empty((0, 1)), np.empty(0)))
 
 
 class TestUpdate:
     """``ObservationSet.append``: the persistent, copying update."""
 
     def test_append_to_empty(self):
-        obs = gp.empty_observations(2).append([0.5, 0.5], 1.0)
+        obs = ObservationSet(np.empty((0, 2)), np.empty(0)).append([0.5, 0.5], 1.0)
         assert len(obs) == 1
 
     def test_original_unchanged(self):
@@ -90,7 +91,7 @@ class TestUpdate:
     def test_order_preserved_against_replay(self):
         rng = np.random.default_rng(2)
         xs, ys = rng.normal(size=(10, 1)), rng.normal(size=10)
-        obs = gp.empty_observations(1)
+        obs = ObservationSet(np.empty((0, 1)), np.empty(0))
         for x, y in zip(xs, ys):
             obs = obs.append(x, y)
         np.testing.assert_array_equal(obs.X, xs)
@@ -265,6 +266,12 @@ class TestBoConfigValidation:
         with pytest.raises(LoopError):
             BoConfig(budget=5, seed=0, noise_variance="learn")
 
+    def test_n_init_one_needs_fixed_kernel(self):
+        with pytest.raises(LoopError):
+            BoConfig(budget=5, seed=0, n_init=1)
+        BoConfig(budget=5, seed=0, n_init=1, fixed_kernel=ISO)
+        BoConfig(budget=1, seed=0, n_init=1)
+
     def test_json_round_trip(self):
         cfg = BoConfig(
             budget=40,
@@ -273,11 +280,14 @@ class TestBoConfigValidation:
             direction=gp.MAXIMIZE,
             acquisition=AcquisitionSpec("pi", xi=0.1),
             noise_variance=0.5,
+            hyper_bounds=HyperBounds((1e-3, 1e3), (1e-2, 5.0), (1e-6, 1e-1)),
         )
-        back = BoConfig.from_json_dict(cfg.to_json_dict())
+        back = BoConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
         assert back.budget == 40 and back.seed == 7
         assert back.acquisition == cfg.acquisition
         assert back.noise_variance == 0.5
+        assert back.hyper_bounds == cfg.hyper_bounds
+        assert back == cfg
 
     def test_unknown_field_rejected(self):
         with pytest.raises(LoopError):
