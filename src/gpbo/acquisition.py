@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from ._json import JsonCodec
+
 PI = "pi"
 EI = "ei"
 LCB = "lcb"
@@ -32,7 +34,7 @@ class AcquisitionError(ValueError):
 
 
 @dataclass(frozen=True)
-class AcquisitionSpec:
+class AcquisitionSpec(JsonCodec, error=AcquisitionError):
     """Acquisition family plus its knobs.
 
     ``xi`` is the improvement margin for PI/EI (the paper-style trade-off
@@ -59,23 +61,6 @@ class AcquisitionSpec:
         if self.xi_decay is None:
             return self.xi
         return self.xi * self.xi_decay**iteration
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "xi": self.xi,
-            "upsilon": self.upsilon,
-            "xi_decay": self.xi_decay,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "AcquisitionSpec":
-        return cls(
-            family=obj.get("family", EI),
-            xi=obj.get("xi", 0.01),
-            upsilon=obj.get("upsilon", 2.0),
-            xi_decay=obj.get("xi_decay"),
-        )
 
 
 def _check_finite(*vals) -> None:

@@ -81,8 +81,7 @@ def _load_config(path: str) -> dict:
 def _space_from_config(cfg: dict, objective: ObjectiveSpec | None) -> SearchSpace:
     if "space" in cfg:
         with _parsing("'space' section"):
-            sp = cfg["space"]
-            return SearchSpace(np.asarray(sp["lower"]), np.asarray(sp["upper"]))
+            return SearchSpace.from_json_dict(cfg["space"])
     if objective is not None and objective.kind == "builtin":
         return recommended_space(objective.name)
     raise ConfigError("config needs a 'space' section (or a builtin objective)")
@@ -171,7 +170,7 @@ def _cmd_optimize(args) -> int:
             writer.close()
     echo = {
         "objective": obj_spec.to_json_dict(),
-        "space": {"lower": space.lower.tolist(), "upper": space.upper.tolist()},
+        "space": space.to_json_dict(),
     }
     if args.command == "run":
         echo["bo"] = bo_cfg.to_json_dict()

@@ -16,12 +16,13 @@ L-BFGS on the log marginal likelihood in log-parameter space.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import minimize
 
+from ._json import JsonCodec
 from .kernels import (
     SQ_EXP_ISO,
     KernelSpec,
@@ -258,7 +259,7 @@ def log_marginal_likelihood(
 
 
 @dataclass(frozen=True)
-class HyperBounds:
+class HyperBounds(JsonCodec, error=GpError):
     """Box bounds (natural scale) for hyperparameter fitting."""
 
     signal_variance: tuple[float, float] = (1e-4, 1e4)
@@ -266,16 +267,11 @@ class HyperBounds:
     noise_variance: tuple[float, float] = (1e-8, 1e2)
 
     def __post_init__(self):
-        for lo, hi in (self.signal_variance, self.length_scale, self.noise_variance):
-            if not (0 < lo < hi and np.isfinite(hi)):
-                raise GpError("hyperparameter bounds must be finite and ordered")
-
-    def to_json_dict(self) -> dict:
-        return {name: list(pair) for name, pair in asdict(self).items()}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "HyperBounds":
-        return cls(**{name: tuple(pair) for name, pair in obj.items()})
+        for f in fields(self):
+            pair = tuple(getattr(self, f.name))
+            if len(pair) != 2 or not (0 < pair[0] < pair[1] and np.isfinite(pair[1])):
+                raise GpError(f"{f.name} bounds must be a finite ordered (lo, hi) pair")
+            object.__setattr__(self, f.name, pair)
 
 
 def optimize_hypers(

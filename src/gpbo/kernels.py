@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from ._json import JsonCodec
+
 SQ_EXP_ISO = "sq_exp_iso"
 SQ_EXP_ARD = "sq_exp_ard"
 MATERN = "matern"
@@ -37,7 +39,7 @@ class KernelError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class KernelSpec:
+class KernelSpec(JsonCodec, error=KernelError):
     """Immutable kernel family + hyperparameters.
 
     ``length_scales`` has one entry for ``sq_exp_iso`` and one entry per
@@ -118,25 +120,6 @@ class KernelSpec:
             ([math.log(self.signal_variance)], np.log(self.length_scales))
         )
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "family": self.family,
-            "signal_variance": self.signal_variance,
-            "length_scales": self.length_scales.tolist(),
-        }
-        if self.family == MATERN:
-            out["nu"] = self.nu
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "KernelSpec":
-        return cls(
-            family=obj["family"],
-            signal_variance=obj["signal_variance"],
-            length_scales=np.asarray(obj["length_scales"], dtype=float),
-            nu=obj.get("nu"),
-        )
-
 
 def _as_points(X) -> np.ndarray:
     """Coerce to an (n, d) float array; a single point becomes (1, d)."""
@@ -203,8 +186,6 @@ def gram_matrix(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
     if jitter < 0:
         raise KernelError("jitter must be nonnegative")
     K = cross_covariance(spec, X, X)
-    # enforce exact symmetry against floating asymmetry in the BLAS product
-    K = 0.5 * (K + K.T)
     if jitter:
         K[np.diag_indices_from(K)] += jitter
     return K

@@ -15,12 +15,13 @@ fully deterministic for a deterministic objective.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import qmc
 
 from . import gp
+from ._json import JsonCodec
 from .acquisition import AcquisitionSpec, score
 from .gp import (
     GpPosterior,
@@ -50,7 +51,7 @@ class ObjectiveFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(JsonCodec, error=LoopError):
     """Axis-aligned box in the objective's native units."""
 
     lower: np.ndarray
@@ -94,7 +95,7 @@ def unit_cube(dimension: int) -> SearchSpace:
 
 
 @dataclass(frozen=True)
-class BoConfig:
+class BoConfig(JsonCodec, error=LoopError):
     budget: int
     seed: int
     n_init: int | None = None  # default max(4, 2d)
@@ -122,6 +123,8 @@ class BoConfig:
             raise LoopError("need 1 <= n_init <= budget")
         if self.fixed_kernel is None and self.n_init == 1 and self.budget > 1:
             raise LoopError("fitting hyperparameters needs n_init >= 2")
+        if self.fixed_kernel is None:  # every refit's family and nu, checked up front
+            KernelSpec(self.kernel_family, nu=self.nu if self.kernel_family == MATERN else None)
         if self.direction not in (gp.MINIMIZE, gp.MAXIMIZE):
             raise LoopError(f"unknown direction {self.direction!r}")
         if isinstance(self.noise_variance, str):
@@ -129,6 +132,10 @@ class BoConfig:
                 raise LoopError('noise_variance must be a nonneg real or "fit"')
         elif self.noise_variance < 0:
             raise LoopError("noise_variance must be nonnegative")
+        if not isinstance(self.acquisition, AcquisitionSpec):
+            raise LoopError("acquisition must be an AcquisitionSpec")
+        if not isinstance(self.hyper_bounds, HyperBounds):
+            raise LoopError("hyper_bounds must be a HyperBounds")
         if self.candidate_count is not None and self.candidate_count < 1:
             raise LoopError("candidate_count must be at least 1")
         if self.refine_iters < 0:
@@ -142,28 +149,6 @@ class BoConfig:
         if self.candidate_count is not None:
             return self.candidate_count
         return 1024 * dimension
-
-    def to_json_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = value.to_json_dict() if hasattr(value, "to_json_dict") else value
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "BoConfig":
-        obj = dict(obj)
-        if "acquisition" in obj and obj["acquisition"] is not None:
-            obj["acquisition"] = AcquisitionSpec.from_json_dict(obj["acquisition"])
-        if obj.get("fixed_kernel") is not None:
-            obj["fixed_kernel"] = KernelSpec.from_json_dict(obj["fixed_kernel"])
-        if obj.get("hyper_bounds") is not None:
-            obj["hyper_bounds"] = HyperBounds.from_json_dict(obj["hyper_bounds"])
-        known = {k: v for k, v in obj.items() if k in cls.__dataclass_fields__}
-        unknown = set(obj) - set(known)
-        if unknown:
-            raise LoopError(f"unknown BoConfig fields: {sorted(unknown)}")
-        return cls(**known)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._json import JsonCodec
 from .loop import SearchSpace
 
 
@@ -83,7 +84,7 @@ def recommended_space(name: str, dimension: int | None = None) -> SearchSpace:
 
 
 @dataclass(frozen=True)
-class ObjectiveSpec:
+class ObjectiveSpec(JsonCodec, error=ObjectiveError):
     """Either a builtin by name or an external worker command.
 
     ``mode`` applies to external objectives: ``"persistent"`` keeps one
@@ -91,42 +92,23 @@ class ObjectiveSpec:
     evaluation.
     """
 
-    kind: str  # "builtin" | "external"
+    kind: str = "builtin"  # or "external"
     name: str | None = None
     command: tuple[str, ...] | None = None
     mode: str = "persistent"
     timeout: float = 60.0
 
     def __post_init__(self):
+        if self.command is not None:
+            object.__setattr__(self, "command", tuple(self.command))
         if self.kind == "builtin":
             builtin_function(self.name)
         elif self.kind == "external":
             if not self.command:
                 raise ObjectiveError("external objective requires a command")
-            object.__setattr__(self, "command", tuple(self.command))
             if self.mode not in ("persistent", "oneshot"):
                 raise ObjectiveError('mode must be "persistent" or "oneshot"')
             if self.timeout <= 0:
                 raise ObjectiveError("timeout must be positive")
         else:
             raise ObjectiveError(f'kind must be "builtin" or "external", got {self.kind!r}')
-
-    def to_json_dict(self) -> dict:
-        if self.kind == "builtin":
-            return {"kind": "builtin", "name": self.name}
-        return {
-            "kind": "external",
-            "command": list(self.command),
-            "mode": self.mode,
-            "timeout": self.timeout,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ObjectiveSpec":
-        return cls(
-            kind=obj.get("kind", "builtin"),
-            name=obj.get("name"),
-            command=tuple(obj["command"]) if obj.get("command") else None,
-            mode=obj.get("mode", "persistent"),
-            timeout=obj.get("timeout", 60.0),
-        )

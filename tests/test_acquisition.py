@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -189,4 +190,11 @@ class TestAcquisitionSpec:
 
     def test_json_round_trip(self):
         spec = AcquisitionSpec(family="ucb", xi=0.2, upsilon=1.5, xi_decay=0.9)
-        assert AcquisitionSpec.from_json_dict(spec.to_json_dict()) == spec
+        obj = json.loads(json.dumps(spec.to_json_dict()))
+        assert AcquisitionSpec.from_json_dict(obj) == spec
+        assert AcquisitionSpec.from_json_dict({"xi_decay": None}) == AcquisitionSpec()
+
+    @pytest.mark.parametrize("obj", [{"xi_decy": 0.5}, [], None])
+    def test_json_rejects_unknown_keys_and_non_objects(self, obj):
+        with pytest.raises(AcquisitionError):
+            AcquisitionSpec.from_json_dict(obj)

@@ -164,6 +164,49 @@ class TestRun:
         assert "3 length-scales" in capsys.readouterr().err
         assert len(read_trace(trace_path)) == 0
 
+    @pytest.mark.parametrize(
+        "section",
+        ["objective", "space", "bo", "bo.acquisition", "bo.hyper_bounds", "bo.fixed_kernel"],
+    )
+    def test_unknown_key_exits_2_before_first_evaluation(self, tmp_path, capsys, section):
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["bo"]["acquisition"] = {"family": "ei"}
+        cfg["bo"]["hyper_bounds"] = {"noise_variance": [1e-6, 0.1]}
+        cfg["bo"]["fixed_kernel"] = {
+            "family": "matern", "signal_variance": 1.0, "length_scales": [0.5, 0.5], "nu": 2.5
+        }
+        node = cfg
+        for key in section.split("."):
+            node = node[key]
+        node["bogus_key"] = [1.0, 2.0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        trace_path = tmp_path / "t.csv"
+        rc = main(["run", "--config", str(path), "--trace", str(trace_path)])
+        assert rc == EXIT_CONFIG
+        assert "bogus_key" in capsys.readouterr().err
+        assert not trace_path.exists()
+
+    @pytest.mark.parametrize("name", ["acquisition", "hyper_bounds", "nu"])
+    def test_null_required_field_exits_2_before_first_evaluation(
+        self, tmp_path, capsys, name
+    ):
+        cfg = write_config(tmp_path, bo={"budget": 10, "n_init": 5, "seed": 0, name: None})
+        trace_path = tmp_path / "t.csv"
+        rc = main(["run", "--config", str(cfg), "--trace", str(trace_path)])
+        assert rc == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+        assert not trace_path.exists()
+
+    def test_objective_kind_defaults_to_builtin(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, objective={"name": "sphere"})
+        assert main(["run", "--config", str(cfg), "--budget", "6"]) == EXIT_OK
+        echo = json.loads(capsys.readouterr().out)["config"]
+        assert echo["objective"] == {
+            "kind": "builtin", "name": "sphere", "command": None,
+            "mode": "persistent", "timeout": 60.0,
+        }
+
     def test_program_error_is_not_config_error(self, tmp_path, monkeypatch):
         def broken_run_bo(*args, **kwargs):
             raise ValueError("a bug, not a config problem")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -212,11 +213,10 @@ class TestSpecValidation:
             KernelSpec("sq_exp_iso", length_scales=[1.0, 2.0])
 
     def test_json_round_trip(self):
-        spec = KernelSpec("matern", 2.5, [0.4, 1.2], nu=1.5)
-        back = KernelSpec.from_json_dict(spec.to_json_dict())
-        assert back == spec
-        iso = KernelSpec.from_json_dict(ISO.to_json_dict())
-        assert iso == ISO
+        for spec in (KernelSpec("matern", 2.5, [0.4, 1.2], nu=1.5), ISO):
+            obj = json.loads(json.dumps(spec.to_json_dict()))
+            assert set(obj) == {"family", "signal_variance", "length_scales", "nu"}
+            assert KernelSpec.from_json_dict(obj) == spec
 
 
 def test_cross_covariance_matches_pointwise():

@@ -44,6 +44,14 @@ class TestSearchSpace:
         x = np.array([2.5, 7.5])
         np.testing.assert_allclose(space.from_unit(space.to_unit(x)), x)
 
+    def test_json_round_trip(self):
+        space = SearchSpace([-5.0, 0.0], [10.0, 15.0])
+        obj = json.loads(json.dumps(space.to_json_dict()))
+        assert obj == {"lower": [-5.0, 0.0], "upper": [10.0, 15.0]}
+        back = SearchSpace.from_json_dict(obj)
+        assert np.array_equal(back.lower, space.lower)
+        assert np.array_equal(back.upper, space.upper)
+
 
 class TestIncumbent:
     def test_single_obs(self):
@@ -281,6 +289,7 @@ class TestBoConfigValidation:
             acquisition=AcquisitionSpec("pi", xi=0.1),
             noise_variance=0.5,
             hyper_bounds=HyperBounds((1e-3, 1e3), (1e-2, 5.0), (1e-6, 1e-1)),
+            fixed_kernel=KernelSpec("matern", 1.0, [0.5, 0.5], nu=2.5),
         )
         back = BoConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
         assert back.budget == 40 and back.seed == 7
@@ -288,6 +297,22 @@ class TestBoConfigValidation:
         assert back.noise_variance == 0.5
         assert back.hyper_bounds == cfg.hyper_bounds
         assert back == cfg
+
+    def test_partial_hyper_bounds_keep_config_defaults(self):
+        cfg = BoConfig.from_json_dict(
+            {"budget": 5, "seed": 0, "hyper_bounds": {"noise_variance": [1e-6, 1e-2]}}
+        )
+        default = BoConfig(budget=5, seed=0).hyper_bounds
+        assert cfg.hyper_bounds == HyperBounds(
+            default.signal_variance, default.length_scale, (1e-6, 1e-2)
+        )
+
+    def test_null_accepted_for_optional_fields(self):
+        base = {"budget": 5, "seed": 0}
+        optional = dict(n_init=None, candidate_count=None, fixed_kernel=None)
+        assert BoConfig.from_json_dict({**base, **optional}) == BoConfig(5, 0)
+        se = {**base, "kernel_family": "sq_exp_ard", "nu": None}
+        assert BoConfig.from_json_dict(se) == BoConfig(5, 0, kernel_family="sq_exp_ard", nu=None)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(LoopError):

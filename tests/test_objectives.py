@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -96,9 +98,11 @@ class TestObjectiveSpec:
             ObjectiveSpec(kind="external")
 
     def test_json_round_trip(self):
-        spec = ObjectiveSpec(
+        external = ObjectiveSpec(
             kind="external", command=("python3", "worker.py"), mode="oneshot",
             timeout=5.0,
         )
-        back = ObjectiveSpec.from_json_dict(spec.to_json_dict())
-        assert back == spec
+        for spec in (external, ObjectiveSpec(kind="builtin", name="branin")):
+            obj = json.loads(json.dumps(spec.to_json_dict()))
+            assert set(obj) == {f.name for f in fields(ObjectiveSpec)}
+            assert ObjectiveSpec.from_json_dict(obj) == spec
