@@ -1,20 +1,22 @@
 """One JSON codec for the frozen config dataclasses.
 
 ``class Spec(JsonCodec, error=SpecError)`` writes one key per field and reads
-back through the constructor, so ``__post_init__`` stays the only validation
-and the dataclass the only holder of defaults.
+back through the constructor.  The codec checks JSON types against the field
+annotations, ``__post_init__`` checks values, and the dataclass alone holds
+defaults.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import types
 import typing
 
 import numpy as np
 
 
 class JsonCodec:
-    """JSON for a frozen dataclass; a non-object or unknown key raises ``error``."""
+    """JSON for a frozen dataclass; every reading error raises ``error``."""
 
     def __init_subclass__(cls, error: type[Exception]):
         cls._json_error = error
@@ -37,8 +39,18 @@ def _to_json(value):
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
+def _admits(t, value) -> bool:
+    """Whether a JSON value may fill a field of type ``t``: no fraction for an int, no
+    boolean for a number.  Arrays and nested configs leave all but null to the constructor."""
+    if t is int or t is float:
+        return isinstance(value, (int, t)) and not isinstance(value, bool)
+    if t in (str, dict, type(None)):
+        return isinstance(value, t)
+    return value is not None
+
+
 def _from_json(cls, obj, base):
-    """``cls`` from ``obj``, absent keys taken from ``base`` if given.  A nested
+    """``cls`` from ``obj``, absent keys taken from ``base`` if it is one.  A nested
     object is read against the enclosing field's value or default, so a
     partial one keeps the enclosing dataclass's defaults, not its own."""
     if not isinstance(obj, dict):
@@ -47,14 +59,25 @@ def _from_json(cls, obj, base):
     unknown = sorted(set(obj) - set(fields))
     if unknown:
         raise cls._json_error(f"unknown {cls.__name__} keys: {unknown}")
-    kwargs = dict(obj)
-    for name, hint in typing.get_type_hints(cls).items():
-        # a nested config field is annotated ``Spec`` or ``Spec | None``, with a default
-        nested = [t for t in (hint, *typing.get_args(hint))
-                  if isinstance(t, type) and issubclass(t, JsonCodec)]
-        if nested and obj.get(name) is not None:
-            f = fields[name]
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, value in obj.items():
+        f, hint = fields[name], hints[name]
+        options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        if not any(_admits(t, value) for t in options):
+            raise cls._json_error(f"{cls.__name__}.{name} must be {f.type}, not {value!r}")
+        nested = [t for t in options if isinstance(t, type) and issubclass(t, JsonCodec)]
+        if nested and value is not None:
             default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
             inner = default if base is None else getattr(base, name)
-            kwargs[name] = _from_json(nested[0], obj[name], inner)
-    return cls(**kwargs) if base is None else dataclasses.replace(base, **kwargs)
+            try:
+                value = _from_json(nested[0], value, inner)
+            except (TypeError, ValueError) as e:
+                raise cls._json_error(f"{name}: {e}") from e
+        kwargs[name] = value
+    try:  # a base of None, or MISSING for a required nested field, means from scratch
+        return dataclasses.replace(base, **kwargs) if isinstance(base, cls) else cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        if isinstance(e, cls._json_error):
+            raise
+        raise cls._json_error(f"{cls.__name__}: {e}") from e

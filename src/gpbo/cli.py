@@ -8,10 +8,11 @@ Subcommands:
 * ``bench``    -- paired multi-seed BO vs random-search comparison.
 * ``sample``   -- GP prior/posterior draws to CSV for plotting.
 
-Configuration is a single JSON document (see README); a handful of flags
-override config fields.  Exit codes: 0 success, 2 config error, 3
-objective/protocol error, 4 numerical failure, 5 I/O error (trace, summary
-or output file).  Any other exception is a program error and propagates.
+Configuration is a single JSON document (see README), read whole into
+:class:`Config`; a handful of flags override config fields.  Exit codes: 0
+success, 2 config error, 3 objective/protocol error, 4 numerical failure, 5
+I/O error (trace, summary or output file).  Any other exception is a program
+error and propagates.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ import contextlib
 import json
 import sys
 import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import gp
+from ._json import JsonCodec
 from .baseline import random_search_baseline
 from .external import ExternalObjective, ExternalObjectiveError
 from .gp import FactorizationError, fit_posterior
@@ -56,60 +59,71 @@ class ConfigError(ValueError):
 _CONFIG_ERRORS = (ConfigError, LoopError, ObjectiveError, KernelError, TraceFormatError)
 
 
-@contextlib.contextmanager
-def _parsing(where: str):
-    """Report malformed configuration input as a ConfigError."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad {where}: {type(e).__name__}: {e}") from e
+@dataclass(frozen=True)
+class SampleConfig(JsonCodec, error=ConfigError):
+    """The ``sample`` section: ``gpbo sample`` draws from this kernel."""
+
+    kernel: KernelSpec
+    n_points: int = 200
+    n_draws: int = 5
+    seed: int = 0
+    noise_variance: float = 0.0
+
+    def __post_init__(self):
+        if min(self.n_points, self.n_draws) < 1:
+            raise ConfigError("n_points and n_draws must be at least 1")
+        if not (self.noise_variance >= 0.0 and np.isfinite(self.noise_variance)):
+            raise ConfigError("noise_variance must be nonnegative and finite")
 
 
-def _load_config(path: str) -> dict:
+@dataclass(frozen=True)
+class OutputConfig(JsonCodec, error=ConfigError):
+    """The ``output`` section; the ``--trace``/``--summary``/``--out`` flags win."""
+
+    trace: str | None = None
+    summary: str | None = None
+    samples: str = "samples.csv"
+
+
+@dataclass(frozen=True)
+class Config(JsonCodec, error=ConfigError):
+    """The whole config document; ``bo`` stays raw until the flags are merged in."""
+
+    objective: ObjectiveSpec | None = None
+    space: SearchSpace | None = None
+    bo: dict = field(default_factory=dict)
+    sample: SampleConfig | None = None
+    output: OutputConfig = field(default_factory=OutputConfig)
+
+
+def _load_config(path: str) -> Config:
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    return cfg
+    return Config.from_json_dict(doc)
 
 
-def _space_from_config(cfg: dict, objective: ObjectiveSpec | None) -> SearchSpace:
-    if "space" in cfg:
-        with _parsing("'space' section"):
-            return SearchSpace.from_json_dict(cfg["space"])
+def _space_from_config(cfg: Config, objective: ObjectiveSpec | None) -> SearchSpace:
+    if cfg.space is not None:
+        return cfg.space
     if objective is not None and objective.kind == "builtin":
         return recommended_space(objective.name)
     raise ConfigError("config needs a 'space' section (or a builtin objective)")
 
 
-def _objective_spec(cfg: dict, args) -> ObjectiveSpec:
-    with _parsing("'objective' section"):
-        if getattr(args, "objective", None):
-            return ObjectiveSpec(kind="builtin", name=args.objective)
-        if "objective" not in cfg:
-            raise ConfigError("config needs an 'objective' section")
-        return ObjectiveSpec.from_json_dict(cfg["objective"])
+def _objective_spec(cfg: Config, name: str | None) -> ObjectiveSpec:
+    if name:
+        return ObjectiveSpec(name=name)
+    if cfg.objective is None:
+        raise ConfigError("config needs an 'objective' section")
+    return cfg.objective
 
 
-def _bo_config(cfg: dict, args, require_seed_flag: bool = False) -> BoConfig:
-    with _parsing("'bo' section"):
-        bo = dict(cfg.get("bo", {}))
-        if getattr(args, "budget", None) is not None:
-            bo["budget"] = args.budget
-        if getattr(args, "seed", None) is not None:
-            bo["seed"] = args.seed
-        elif require_seed_flag:
-            raise ConfigError("--seed is mandatory in benchmark mode")
-        if "budget" not in bo:
-            raise ConfigError("config needs bo.budget")
-        if "seed" not in bo:
-            raise ConfigError("bo.seed missing (set it in the config or pass --seed)")
-        return BoConfig.from_json_dict(bo)
+def _bo_config(cfg: Config, budget: int | None, seed: int | None) -> BoConfig:
+    flags = {k: v for k, v in (("budget", budget), ("seed", seed)) if v is not None}
+    return BoConfig.from_json_dict({**cfg.bo, **flags})
 
 
 @contextlib.contextmanager
@@ -121,20 +135,14 @@ def _open_objective(spec: ObjectiveSpec):
             yield obj
 
 
-def _summary(trace: Trace, config_echo: dict, wall_s: float) -> dict:
-    return {
-        "config": config_echo,
-        "summary": {
-            "best_x": [float(v) for v in trace.best_x],
-            "best_f": trace.best_f,
-            "evaluations": len(trace),
-            "wall_time_s": wall_s,
-        },
+def _emit_summary(trace: Trace, config_echo: dict, wall_s: float, path: str | None) -> None:
+    summary = {
+        "best_x": [float(v) for v in trace.best_x],
+        "best_f": trace.best_f,
+        "evaluations": len(trace),
+        "wall_time_s": wall_s,
     }
-
-
-def _emit_summary(summary: dict, path: str | None) -> None:
-    text = json.dumps(summary, indent=2)
+    text = json.dumps({"config": config_echo, "summary": summary}, indent=2)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -144,12 +152,11 @@ def _emit_summary(summary: dict, path: str | None) -> None:
 def _cmd_optimize(args) -> int:
     """``run`` and ``baseline``: one optimizer run, its trace and summary."""
     cfg = _load_config(args.config)
-    obj_spec = _objective_spec(cfg, args)
+    obj_spec = _objective_spec(cfg, args.objective)
     space = _space_from_config(cfg, obj_spec)
-    bo_cfg = _bo_config(cfg, args)
-    output = cfg.get("output", {})
-    trace_path = args.trace or output.get("trace")
-    summary_path = args.summary or output.get("summary")
+    bo_cfg = _bo_config(cfg, args.budget, args.seed)
+    trace_path = args.trace or cfg.output.trace
+    summary_path = args.summary or cfg.output.summary
     writer = TraceWriter(trace_path, space.dimension) if trace_path else None
     t0 = time.perf_counter()
     try:
@@ -177,13 +184,13 @@ def _cmd_optimize(args) -> int:
     else:
         echo.update(budget=bo_cfg.budget, seed=bo_cfg.seed)
     echo["trace"] = trace_path
-    _emit_summary(_summary(trace, echo, time.perf_counter() - t0), summary_path)
+    _emit_summary(trace, echo, time.perf_counter() - t0, summary_path)
     return EXIT_OK
 
 
 def _parse_seeds(text: str) -> list[int]:
     seeds: list[int] = []
-    with _parsing("--seeds"):
+    try:
         for part in text.split(","):
             part = part.strip()
             if "-" in part[1:]:
@@ -191,6 +198,8 @@ def _parse_seeds(text: str) -> list[int]:
                 seeds.extend(range(int(lo), int(hi) + 1))
             else:
                 seeds.append(int(part))
+    except ValueError as e:
+        raise ConfigError(f"bad --seeds: {e}") from None
     if not seeds:
         raise ConfigError("no seeds given")
     return seeds
@@ -198,14 +207,13 @@ def _parse_seeds(text: str) -> list[int]:
 
 def _cmd_bench(args) -> int:
     cfg = _load_config(args.config)
-    obj_spec = _objective_spec(cfg, args)
+    obj_spec = _objective_spec(cfg, args.objective)
     space = _space_from_config(cfg, obj_spec)
     seeds = _parse_seeds(args.seeds)
     bo_finals, rs_finals = [], []
     rows = []
     for seed in seeds:
-        ns = argparse.Namespace(budget=args.budget, seed=seed)
-        bo_cfg = _bo_config(cfg, ns)
+        bo_cfg = _bo_config(cfg, args.budget, seed)
         with _open_objective(obj_spec) as objective:
             bo_trace = run_bo(objective, space, bo_cfg)
         with _open_objective(obj_spec) as objective:
@@ -231,40 +239,34 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sample(args) -> int:
     cfg = _load_config(args.config)
-    with _parsing("'sample' section"):
-        sample_cfg = cfg.get("sample")
-        if not sample_cfg or "kernel" not in sample_cfg:
-            raise ConfigError("config needs a 'sample' section with a kernel")
-        kernel = KernelSpec.from_json_dict(sample_cfg["kernel"])
-        n_points = int(sample_cfg.get("n_points", 200))
-        n_draws = args.draws if args.draws is not None else int(sample_cfg.get("n_draws", 5))
-        seed = args.seed if args.seed is not None else int(sample_cfg.get("seed", 0))
-        noise = float(sample_cfg.get("noise_variance", 0.0))
-        if not (noise >= 0.0 and np.isfinite(noise)):
-            raise ConfigError("sample.noise_variance must be nonnegative and finite")
+    if cfg.sample is None:
+        raise ConfigError("config needs a 'sample' section with a kernel")
+    flags = {k: v for k, v in (("n_draws", args.draws), ("seed", args.seed)) if v is not None}
+    sample = replace(cfg.sample, **flags)
     space = _space_from_config(cfg, None)
-    X = halton_points(space, n_points, seed)
-    order = np.argsort(X[:, 0]) if space.dimension == 1 else np.arange(n_points)
+    X = halton_points(space, sample.n_points, sample.seed)
+    order = np.argsort(X[:, 0]) if space.dimension == 1 else np.arange(sample.n_points)
     X = X[order]
     if args.trace:
         prev = read_trace(args.trace)
-        obs = gp.ObservationSet(
-            X=np.array([rec.x for rec in prev]),
-            y=np.array([rec.y for rec in prev]),
-        )
-        post = fit_posterior(obs, kernel, noise)
-        draws = gp.sample_posterior(post, X, n_draws, seed)
+        X_seen = np.array([rec.x for rec in prev])
+        if X_seen.shape[-1:] != (space.dimension,):  # also catches a trace with no rows
+            raise ConfigError(f"trace {args.trace} has points of shape {X_seen.shape}, "
+                              f"not rows of {space.dimension}")
+        obs = gp.ObservationSet(X=X_seen, y=np.array([rec.y for rec in prev]))
+        post = fit_posterior(obs, sample.kernel, sample.noise_variance)
+        draws = gp.sample_posterior(post, X, sample.n_draws, sample.seed)
     else:
-        draws = gp.sample_prior(kernel, X, n_draws, seed)
-    out = args.out or cfg.get("output", {}).get("samples", "samples.csv")
+        draws = gp.sample_prior(sample.kernel, X, sample.n_draws, sample.seed)
+    out = args.out or cfg.output.samples
     with open(out, "w", encoding="utf-8") as fh:
         header = [f"x_{j}" for j in range(space.dimension)]
-        header += [f"draw_{k}" for k in range(n_draws)]
+        header += [f"draw_{k}" for k in range(sample.n_draws)]
         fh.write(",".join(header) + "\n")
         for i in range(X.shape[0]):
             vals = list(X[i]) + list(draws[:, i])
             fh.write(",".join(format(v, ".17g") for v in vals) + "\n")
-    print(f"wrote {X.shape[0]} points x {n_draws} draws to {out}")
+    print(f"wrote {X.shape[0]} points x {sample.n_draws} draws to {out}")
     return EXIT_OK
 
 

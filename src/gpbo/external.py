@@ -19,6 +19,8 @@ import numpy as np
 
 from .objectives import ObjectiveSpec
 
+STDERR_TAIL = 2000  # characters of a oneshot worker's stderr kept in its errors
+
 
 class ExternalObjectiveError(RuntimeError):
     """Base class for worker-protocol failures."""
@@ -98,13 +100,15 @@ class ExternalObjective:
             ) from None
         except OSError as e:
             raise WorkerCrashError(f"could not launch worker: {e}", it) from None
+        stderr = result.stderr.strip()[-STDERR_TAIL:]
+        stderr = f"; its stderr ends: {stderr}" if stderr else ""
         if result.returncode != 0:
             raise WorkerCrashError(
-                f"worker exited with code {result.returncode} at iteration {it}", it
+                f"worker exited with code {result.returncode} at iteration {it}{stderr}", it
             )
         line = result.stdout.strip().splitlines()
         if not line:
-            raise ProtocolError(f"worker produced no response at iteration {it}", it)
+            raise ProtocolError(f"worker produced no response at iteration {it}{stderr}", it)
         return _parse_response(line[-1], it)
 
     def _ensure_worker(self, it: int) -> subprocess.Popen:

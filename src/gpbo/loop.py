@@ -132,10 +132,6 @@ class BoConfig(JsonCodec, error=LoopError):
                 raise LoopError('noise_variance must be a nonneg real or "fit"')
         elif self.noise_variance < 0:
             raise LoopError("noise_variance must be nonnegative")
-        if not isinstance(self.acquisition, AcquisitionSpec):
-            raise LoopError("acquisition must be an AcquisitionSpec")
-        if not isinstance(self.hyper_bounds, HyperBounds):
-            raise LoopError("hyper_bounds must be a HyperBounds")
         if self.candidate_count is not None and self.candidate_count < 1:
             raise LoopError("candidate_count must be at least 1")
         if self.refine_iters < 0:

@@ -283,6 +283,7 @@ def test_criterion_5_invariant_suites():
     report(5, cases >= 1000, f"{cases} generated cases, all invariants held")
 
 
+@pytest.mark.slow
 def test_criterion_6_branin_benchmark():
     """Branin, budget 60 (n_init 8), EI xi=0.01, seeds 0-19: >= 18/20 runs
     reach incumbent <= 0.9 and BO median beats paired random search,

@@ -10,6 +10,7 @@ from gpbo.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OBJECTIVE, EXIT_
 from gpbo.trace_io import read_trace
 
 SPHERE_WORKER = Path(__file__).resolve().parents[1] / "demos" / "sphere_worker.py"
+SAMPLE_KERNEL = {"family": "sq_exp_iso", "signal_variance": 1.0, "length_scales": [0.3]}
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -324,3 +325,60 @@ class TestSample:
         kernel = {"family": "sq_exp_iso", "signal_variance": 1.0, "length_scales": [0.3]}
         cfg = write_config(tmp_path, sample={"kernel": kernel, "noise_variance": -1.0})
         assert main(["sample", "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "iter,x_0,y,inc_f,acq_value,wall_ms\n",
+            "iter,x_0,x_1,y,inc_f,acq_value,wall_ms\n0,0.1,0.2,0.05,0.05,nan,1.0\n",
+        ],
+        ids=["header-only", "two-dimensional"],
+    )
+    def test_unusable_trace_is_config_error(self, tmp_path, capsys, rows):
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text(rows)
+        cfg = write_config(
+            tmp_path, space={"lower": [0.0], "upper": [1.0]}, sample={"kernel": SAMPLE_KERNEL}
+        )
+        out = tmp_path / "samples.csv"
+        rc = main(["sample", "--config", str(cfg), "--trace", str(trace_path), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert str(trace_path) in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value, flags",
+    [
+        ("sample", "sample.n_draw", 3, []),
+        ("baseline", "output.sumary", "other.json", []),
+        ("baseline", "ouptut", {"summary": "other.json"}, []),
+        ("sample", "sample.n_points", 2.7, []),
+        ("sample", "sample.n_draws", 0, []),
+        ("run", "bo.budget", 5.5, []),
+        ("run", "bo.seed", 0.5, []),
+        ("run", "bo.budget", True, []),
+        ("run", "bo.candidate_count", 100.5, []),
+        ("run", "output.trace", 1, []),
+        ("baseline", "output.summary", 2, []),
+        ("sample", "n_draws", None, ["--draws", "0"]),
+        ("sample", "n_draws", None, ["--draws", "-1"]),
+    ],
+)
+def test_config_mistake_exits_2_before_any_output(
+    tmp_path, monkeypatch, capsys, command, key, value, flags
+):
+    cfg = json.loads(write_config(tmp_path, bo={"budget": 10, "seed": 0}).read_text())
+    cfg["sample"] = {"kernel": SAMPLE_KERNEL, "n_points": 20}
+    cfg["output"] = {"trace": "t.csv", "summary": "s.json", "samples": "d.csv"}
+    if value is not None:
+        *parents, name = key.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[name] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", "cfg.json", *flags]) == EXIT_CONFIG
+    assert key.rsplit(".", 1)[-1] in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

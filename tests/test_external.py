@@ -5,6 +5,7 @@ import pytest
 
 from gpbo.external import (
     ExternalObjective,
+    STDERR_TAIL,
     NonFiniteResponseError,
     ProtocolError,
     WorkerCrashError,
@@ -114,3 +115,20 @@ class TestOneshotWorker:
         with ExternalObjective(worker_spec(worker, mode="oneshot")) as obj:
             with pytest.raises(ProtocolError):
                 obj([0.5])
+
+    @pytest.mark.parametrize(
+        "exit_code, error", [(3, WorkerCrashError), (0, ProtocolError)]
+    )
+    def test_error_carries_stderr_tail(self, tmp_path, exit_code, error):
+        worker = write_worker(
+            tmp_path,
+            "sys.stderr.write('x' * 10000 + '\\nboom: CUDA out of memory\\n')\n"
+            f"sys.exit({exit_code})\n",
+        )
+        with ExternalObjective(worker_spec(worker, mode="oneshot")) as obj:
+            with pytest.raises(error) as err:
+                obj([0.5])
+        message = str(err.value)
+        assert message.endswith("boom: CUDA out of memory")
+        assert "at iteration 0" in message
+        assert "x" * STDERR_TAIL not in message  # only a bounded tail is kept

@@ -51,6 +51,10 @@ class TestSearchSpace:
         back = SearchSpace.from_json_dict(obj)
         assert np.array_equal(back.lower, space.lower)
         assert np.array_equal(back.upper, space.upper)
+        ints = SearchSpace.from_json_dict({"lower": [-5, 0], "upper": [10, 15]})
+        assert np.array_equal(ints.lower, space.lower) and ints.lower.dtype == float
+        with pytest.raises(LoopError, match="lower"):
+            SearchSpace.from_json_dict({"lower": None, "upper": [10.0]})
 
 
 class TestIncumbent:
@@ -297,6 +301,14 @@ class TestBoConfigValidation:
         assert back.noise_variance == 0.5
         assert back.hyper_bounds == cfg.hyper_bounds
         assert back == cfg
+        # int fields take only integers, float fields any number, null only if optional
+        base = {"budget": 40, "seed": 7}
+        assert BoConfig.from_json_dict({**base, "noise_variance": 0}).noise_variance == 0
+        for key, value in [("budget", 5.5), ("budget", True), ("seed", 0.5), ("seed", None),
+                           ("candidate_count", 100.5), ("refine_iters", "32"),
+                           ("direction", None), ("noise_variance", False)]:
+            with pytest.raises(LoopError, match=key):
+                BoConfig.from_json_dict({**base, key: value})
 
     def test_partial_hyper_bounds_keep_config_defaults(self):
         cfg = BoConfig.from_json_dict(
