@@ -41,11 +41,14 @@ def _to_json(value):
 
 def _admits(t, value) -> bool:
     """Whether a JSON value may fill a field of type ``t``: no fraction for an int, no
-    boolean for a number.  Arrays and nested configs leave all but null to the constructor."""
+    boolean for a number, only a JSON array for an array or a tuple.  Nested configs
+    leave all but null to the constructor, and so do the elements of an array."""
     if t is int or t is float:
         return isinstance(value, (int, t)) and not isinstance(value, bool)
     if t in (str, dict, type(None)):
         return isinstance(value, t)
+    if t is np.ndarray or typing.get_origin(t) is tuple:
+        return isinstance(value, list)
     return value is not None
 
 

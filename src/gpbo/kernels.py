@@ -145,15 +145,33 @@ def _scaled_sqdists(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarra
     return cdist(X / spec.length_scales, Z / spec.length_scales, "sqeuclidean")
 
 
-def _matern_shape(nu: float, r: np.ndarray) -> np.ndarray:
-    """Closed-form Matern correlation g(r) at unit length-scale."""
+def _correlation(family: str, nu: float | None, sq: np.ndarray, slope: bool = False):
+    """Closed-form unit-variance correlation ``g`` at scaled squared distance ``sq``.
+
+    With ``slope``, returns ``(g, c)`` with ``c = -2 dg/d(sq)``, so that
+    ``d k / d log l_j = signal_variance * c * u_j^2`` for the scaled
+    per-dimension squared difference ``u_j^2``.
+    """
+    if family != MATERN:
+        g = np.exp(-0.5 * sq)
+        return (g, g) if slope else g
+    r = np.sqrt(sq)
     if nu == 0.5:
-        return np.exp(-r)
+        g = np.exp(-r)
+        if not slope:
+            return g
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return g, np.where(r > 0, g / r, 0.0)
     if nu == 1.5:
         a = math.sqrt(3.0) * r
-        return (1.0 + a) * np.exp(-a)
+        e = np.exp(-a)
+        g = (1.0 + a) * e
+        return (g, 3.0 * e) if slope else g
     a = math.sqrt(5.0) * r
-    return (1.0 + a + a**2 / 3.0) * np.exp(-a)
+    e = np.exp(-a)
+    b = 1.0 + a
+    g = (b + a**2 / 3.0) * e
+    return (g, (5.0 / 3.0) * b * e) if slope else g
 
 
 def cross_covariance(spec: KernelSpec, X, Z) -> np.ndarray:
@@ -164,9 +182,7 @@ def cross_covariance(spec: KernelSpec, X, Z) -> np.ndarray:
         raise KernelError("dimension mismatch between point sets")
     spec.check_dimension(X.shape[1])
     sq = _scaled_sqdists(spec, X, Z)
-    if spec.family in (SQ_EXP_ISO, SQ_EXP_ARD):
-        return spec.signal_variance * np.exp(-0.5 * sq)
-    return spec.signal_variance * _matern_shape(spec.nu, np.sqrt(sq))
+    return spec.signal_variance * _correlation(spec.family, spec.nu, sq)
 
 
 def eval_kernel(spec: KernelSpec, x, x_prime) -> float:
@@ -214,25 +230,8 @@ def gram_grad_hyper(spec: KernelSpec, X, Z) -> list[np.ndarray]:
     # scaled per-dimension squared differences u_j^2 = ((x_j - z_j)/l_j)^2
     diffs2 = ((X[:, None, :] - Z[None, :, :]) / spec.length_scales) ** 2
     grads = [K.copy()]  # d k / d log sf2 = k
-    if spec.family in (SQ_EXP_ISO, SQ_EXP_ARD):
-        if spec.family == SQ_EXP_ISO:
-            grads.append(K * diffs2.sum(axis=2))
-        else:
-            for j in range(diffs2.shape[2]):
-                grads.append(K * diffs2[:, :, j])
-        return grads
-
-    r = np.sqrt(np.maximum(diffs2.sum(axis=2), 0.0))
-    # d k / d log l_j = -sf2 * g'(r) * u_j^2 / r, with g the Matern shape
-    if spec.nu == 0.5:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            common = np.where(r > 0, np.exp(-r) / r, 0.0)
-    elif spec.nu == 1.5:
-        common = 3.0 * np.exp(-math.sqrt(3.0) * r)
-    else:
-        a = math.sqrt(5.0) * r
-        common = (5.0 / 3.0) * (1.0 + a) * np.exp(-a)
-    common = spec.signal_variance * common
-    for j in range(diffs2.shape[2]):
-        grads.append(common * diffs2[:, :, j])
-    return grads
+    _, slope = _correlation(spec.family, spec.nu, diffs2.sum(axis=2), slope=True)
+    common = spec.signal_variance * slope
+    if spec.family == SQ_EXP_ISO:
+        return grads + [common * diffs2.sum(axis=2)]
+    return grads + [common * diffs2[:, :, j] for j in range(diffs2.shape[2])]

@@ -113,7 +113,7 @@ class BoConfig(JsonCodec, error=LoopError):
             noise_variance=(1e-8, 1.0),
         )
     )
-    hyper_restarts: int = 8
+    hyper_restarts: int = 2
     fixed_kernel: KernelSpec | None = None  # skip fitting; unit-cube units
 
     def __post_init__(self):

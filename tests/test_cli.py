@@ -363,6 +363,8 @@ class TestSample:
         ("baseline", "output.summary", 2, []),
         ("sample", "n_draws", None, ["--draws", "0"]),
         ("sample", "n_draws", None, ["--draws", "-1"]),
+        ("baseline", "objective.command", "python3 demos/sphere_worker.py", []),
+        ("run", "space.lower", "abc", []),
     ],
 )
 def test_config_mistake_exits_2_before_any_output(

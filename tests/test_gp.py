@@ -16,9 +16,16 @@ from gpbo.gp import (
     sample_posterior,
     sample_prior,
 )
-from gpbo.kernels import KernelSpec, eval_kernel, gram_matrix
+from gpbo.kernels import KernelSpec, eval_kernel, gram_grad_hyper, gram_matrix
 
 ISO = KernelSpec("sq_exp_iso")
+FAMILIES = [
+    ("sq_exp_iso", None),
+    ("sq_exp_ard", None),
+    ("matern", 0.5),
+    ("matern", 1.5),
+    ("matern", 2.5),
+]
 
 
 def dense_predict_oracle(obs, kernel, noise, X_star, prior_mean=0.0):
@@ -48,13 +55,14 @@ def dense_lml_oracle(obs, kernel, noise, prior_mean=0.0):
     )
 
 
-def random_instance(rng, n=None, m=4, d=None):
+def random_instance(rng, n=None, m=4, d=None, family="sq_exp_ard", nu=None):
     d = d or int(rng.integers(1, 6))
     n = n or int(rng.integers(1, 21))
     kernel = KernelSpec(
-        "sq_exp_ard",
+        family,
         signal_variance=float(rng.uniform(0.5, 3.0)),
-        length_scales=rng.uniform(0.5, 2.0, size=d),
+        length_scales=rng.uniform(0.5, 2.0, size=1 if family == "sq_exp_iso" else d),
+        nu=nu,
     )
     obs = ObservationSet(
         X=rng.uniform(-2, 2, size=(n, d)), y=rng.normal(size=n)
@@ -232,6 +240,82 @@ class TestLogMarginalLikelihood:
             scale = np.maximum(np.abs(fd), 1e-6)
             assert np.max(np.abs(grad - fd) / scale) < 1e-5
 
+    @pytest.mark.parametrize("noise_mode", ["fitted", "fixed"])
+    @pytest.mark.parametrize("family, nu", FAMILIES)
+    def test_every_family_matches_dense_oracle_and_finite_differences(
+        self, family, nu, noise_mode
+    ):
+        """Fitted noise is differentiated like the kernel hypers.  Fixed noise is
+        0, with its gradient entry exactly 0: a noiseless K is only well
+        conditioned on points at least 0.6 apart, here a jittered 1-D grid."""
+        rng = np.random.default_rng(61)
+        h = 1e-5
+        for _ in range(10):
+            if noise_mode == "fitted":
+                n = int(rng.integers(3, 12))
+                obs, kernel, noise, _ = random_instance(rng, n=n, family=family, nu=nu)
+            else:
+                n = int(rng.integers(3, 6))
+                grid = rng.choice(np.arange(-2.0, 3.0), size=n, replace=False)
+                X = (grid + rng.uniform(-0.2, 0.2, n)).reshape(-1, 1)
+                obs = ObservationSet(X, rng.normal(size=n))
+                kernel = KernelSpec(family, float(rng.uniform(0.5, 3.0)), rng.uniform(0.5, 1.0), nu)
+                noise = 0.0
+            lml, grad = log_marginal_likelihood(
+                obs, kernel, noise, prior_mean=0.0, with_grad=True
+            )
+            assert lml == pytest.approx(dense_lml_oracle(obs, kernel, noise), abs=1e-8)
+            k = kernel.n_hypers
+
+            def lml_at(z):
+                return log_marginal_likelihood(
+                    obs, kernel.with_log_hypers(z[:k]),
+                    math.exp(z[k]) if noise else 0.0, prior_mean=0.0,
+                )
+
+            z0 = kernel.log_hypers()
+            z0 = np.append(z0, math.log(noise)) if noise else z0
+            fd = np.empty_like(z0)
+            for i in range(z0.size):
+                zp, zm = z0.copy(), z0.copy()
+                zp[i] += h
+                zm[i] -= h
+                fd[i] = (lml_at(zp) - lml_at(zm)) / (2 * h)
+            if not noise:
+                assert grad[-1] == 0.0
+                grad = grad[:-1]
+            scale = np.maximum(np.abs(fd), 1e-6)
+            assert np.max(np.abs(grad - fd) / scale) < 1e-5
+
+    @pytest.mark.parametrize("family, nu", FAMILIES)
+    def test_gradient_is_half_trace_of_w_times_gram_grad_hyper(self, family, nu):
+        """d lml / d theta = 0.5 tr(W dK/dtheta), W = alpha alpha^T - K^-1, with
+        dK/dtheta from gram_grad_hyper and dK/d log noise = noise I."""
+        rng = np.random.default_rng(67)
+        for n in (5, 60, 200):
+            obs, kernel, noise, _ = random_instance(rng, n=n, family=family, nu=nu)
+            _, grad = log_marginal_likelihood(obs, kernel, noise, with_grad=True)
+            post = fit_posterior(obs, kernel, noise)
+            Kinv = np.linalg.inv(post.chol @ post.chol.T)
+            W = np.outer(post.alpha, post.alpha) - Kinv
+            dKs = gram_grad_hyper(kernel, obs.X, obs.X) + [noise * np.eye(n)]
+            oracle = [0.5 * np.sum(W * dK) for dK in dKs]
+            np.testing.assert_allclose(grad, oracle, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("nu", [1.5, 2.5])
+    def test_non_finite_gram_raises_instead_of_failing_the_restart(self, nu):
+        """Coordinates 1e200 apart overflow the squared distance, and the Matern
+        3/2 and 5/2 closed forms turn r = inf into inf * 0 = nan.  That must raise GpError,
+        never become the failed-restart sentinel that L-BFGS steps away from."""
+        obs = ObservationSet([[0.0], [1e200], [1.0]], [0.0, 1.0, 0.5])
+        kernel = KernelSpec("matern", nu=nu)
+        with np.errstate(all="ignore"):
+            assert not np.all(np.isfinite(gram_matrix(kernel, obs.X)))
+            with pytest.raises(GpError):
+                log_marginal_likelihood(obs, kernel, 0.1, with_grad=True)
+            with pytest.raises(GpError):
+                optimize_hypers(obs, family="matern", nu=nu)
+
 
 class TestOptimizeHypers:
     def test_result_beats_every_restart_start(self):
@@ -285,6 +369,19 @@ class TestOptimizeHypers:
         at_bound = (np.abs(z - lo) < 1e-6) | (np.abs(z - hi) < 1e-6)
         free_grad = grad[~at_bound]
         assert free_grad.size == 0 or np.linalg.norm(free_grad) < 1e-3
+
+    @pytest.mark.parametrize("family, nu", FAMILIES)
+    def test_duplicated_noiseless_point_goes_through_the_jitter_ladder(self, family, nu):
+        """A repeated row makes K singular at zero noise.  The pivot that rounding
+        leaves barely positive must count as failed, or the fit chases hypers
+        whose log-determinant is rounding error."""
+        rng = np.random.default_rng(71)
+        X = rng.uniform(0, 1, (8, 2))
+        X = np.vstack([X, X[3]])
+        obs = ObservationSet(X, np.sin(3 * X[:, 0]) + X[:, 1] ** 2)
+        kernel, noise = optimize_hypers(obs, family=family, nu=nu, fixed_noise=0.0)
+        assert noise == 0.0 and np.all(np.isfinite(kernel.log_hypers()))
+        assert fit_posterior(obs, kernel, 0.0).jitter > 0
 
     def test_too_few_observations_raises(self):
         with pytest.raises(GpError):
