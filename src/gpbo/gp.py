@@ -47,6 +47,15 @@ DEFAULT_JITTER_SCALE = 1e-12
 MAX_JITTER_SCALE = 1e-4
 #: L-BFGS iteration cap per hyperparameter restart
 LBFGS_MAXITER = 200
+#: entries in one (n, width) block of ``predict``: ~128 KB of float64, so its
+#: temporaries stay in L2 cache (with 64 K, predict at n = 200 ran 1.3-1.6x slower)
+PREDICT_BLOCK = 16384
+#: ``predict`` blocks start at multiples of this, and a remainder of at most
+#: this many test points joins the block before it.  Within one call,
+#: OpenBLAS's gemv takes test points in groups of 4 and its trsm in panels of
+#: 24 (SkylakeX kernels), and each sums a leftover in another order; so on one
+#: BLAS thread every test point gets the bits of one whole-matrix call
+BLOCK_ALIGN = 24
 
 
 class GpError(ValueError):
@@ -209,7 +218,12 @@ def predict(
     full_cov: bool = False,
     include_noise: bool = False,
 ) -> Prediction:
-    """Posterior mean and latent-function variance at test points."""
+    """Posterior mean and latent-function variance at test points.
+
+    Without ``full_cov`` the test points are taken in blocks of about
+    ``PREDICT_BLOCK / n`` (at least ``BLOCK_ALIGN``), so no temporary
+    outgrows the cache.
+    """
     X_star = np.asarray(X_star, dtype=float)
     if X_star.ndim == 1:
         X_star = X_star.reshape(-1, 1) if post.dimension == 1 else X_star.reshape(1, -1)
@@ -217,10 +231,8 @@ def predict(
         raise GpError("predict requires at least one test point")
     if X_star.shape[1] != post.dimension:
         raise GpError("test points have wrong dimension")
-    k_star = cross_covariance(post.kernel, post.train_X, X_star)  # (n, m)
-    mean = post.prior_mean + k_star.T @ post.alpha
-    v = solve_triangular(post.chol, k_star, lower=True)  # (n, m)
     if full_cov:
+        mean, v = _mean_and_whitened(post, X_star)
         prior_cov = cross_covariance(post.kernel, X_star, X_star)
         cov = prior_cov - v.T @ v
         cov = 0.5 * (cov + cov.T)
@@ -228,11 +240,24 @@ def predict(
             cov[np.diag_indices_from(cov)] += post.noise_variance
         variance = np.maximum(np.diag(cov).copy(), 0.0)
         return Prediction(mean=mean, variance=variance, covariance=cov)
-    prior_var = np.full(X_star.shape[0], post.kernel.signal_variance)
-    variance = np.maximum(prior_var - np.sum(v**2, axis=0), 0.0)
+    m = X_star.shape[0]
+    mean, variance = np.empty(m), np.empty(m)
+    width = max(PREDICT_BLOCK // (BLOCK_ALIGN * len(post.alpha)), 1) * BLOCK_ALIGN
+    edges = [*range(0, max(m - BLOCK_ALIGN, 1), width), m]
+    for s, e in zip(edges, edges[1:]):
+        mean[s:e], v = _mean_and_whitened(post, X_star[s:e])
+        variance[s:e] = post.kernel.signal_variance - np.sum(v**2, axis=0)
+    np.maximum(variance, 0.0, out=variance)
     if include_noise:
-        variance = variance + post.noise_variance
+        variance += post.noise_variance
     return Prediction(mean=mean, variance=variance)
+
+
+def _mean_and_whitened(post: GpPosterior, X_star: np.ndarray):
+    """Posterior mean at ``X_star`` and ``L^-1 k(train_X, X_star)``, (n, m)."""
+    k_star = cross_covariance(post.kernel, post.train_X, X_star)  # (n, m)
+    mean = post.prior_mean + k_star.T @ post.alpha
+    return mean, solve_triangular(post.chol, k_star, lower=True)
 
 
 def _lml_function(X: np.ndarray, resid: np.ndarray, family: str, nu: float | None):
@@ -339,6 +364,8 @@ def optimize_hypers(
     """
     if len(obs) < 2:
         raise GpError("optimize_hypers needs at least two observations")
+    if n_restarts < 0 or not (n_restarts or extra_starts):
+        raise GpError("optimize_hypers needs n_restarts >= 1 or an extra start")
     fit_noise = fixed_noise is None
     if not fit_noise:
         _check_noise(fixed_noise)

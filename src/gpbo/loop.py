@@ -136,6 +136,8 @@ class BoConfig(JsonCodec, error=LoopError):
             raise LoopError("candidate_count must be at least 1")
         if self.refine_iters < 0:
             raise LoopError("refine_iters must be nonnegative")
+        if self.hyper_restarts < 1:  # the first refit has no warm start
+            raise LoopError("hyper_restarts must be at least 1")
 
     def resolved_n_init(self, dimension: int) -> int:
         n = max(4, 2 * dimension) if self.n_init is None else self.n_init

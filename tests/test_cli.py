@@ -365,6 +365,7 @@ class TestSample:
         ("sample", "n_draws", None, ["--draws", "-1"]),
         ("baseline", "objective.command", "python3 demos/sphere_worker.py", []),
         ("run", "space.lower", "abc", []),
+        ("run", "bo.hyper_restarts", 0, []),
     ],
 )
 def test_config_mistake_exits_2_before_any_output(

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+from gpbo import gp as gp_module
 from gpbo.gp import (
     FactorizationError,
     GpError,
@@ -16,7 +19,13 @@ from gpbo.gp import (
     sample_posterior,
     sample_prior,
 )
-from gpbo.kernels import KernelSpec, eval_kernel, gram_grad_hyper, gram_matrix
+from gpbo.kernels import (
+    KernelSpec,
+    cross_covariance,
+    eval_kernel,
+    gram_grad_hyper,
+    gram_matrix,
+)
 
 ISO = KernelSpec("sq_exp_iso")
 FAMILIES = [
@@ -39,6 +48,40 @@ def dense_predict_oracle(obs, kernel, noise, X_star, prior_mean=0.0):
     mean = prior_mean + Ks @ Kinv @ (obs.y - prior_mean)
     cov = Kss - Ks @ Kinv @ Ks.T
     return mean, np.diag(cov)
+
+
+def block_width(n):
+    return max(gp_module.PREDICT_BLOCK // (gp_module.BLOCK_ALIGN * n), 1) * gp_module.BLOCK_ALIGN
+
+
+def block_boundary_cases(rng, obs, kernel, noise):
+    """Prefixes of 1, b - 1, b, b + 1 and 3b + 7 random test points, b the
+    block width at n, each with the oracle's mean and variance."""
+    b = block_width(len(obs))
+    X_star = rng.uniform(-2, 2, size=(3 * b + 7, obs.dimension))
+    # the oracle's (m, m) prior covariance is taken 512 rows at a time
+    chunks = [
+        dense_predict_oracle(obs, kernel, noise, X_star[s : s + 512])
+        for s in range(0, len(X_star), 512)
+    ]
+    mean_o, var_o = (np.concatenate(parts) for parts in zip(*chunks))
+    return [(X_star[:m], mean_o[:m], var_o[:m]) for m in (1, b - 1, b, b + 1, 3 * b + 7)]
+
+
+def check_against_oracle(post, X_star, pred, mean_o, var_o):
+    np.testing.assert_allclose(pred.mean, mean_o, atol=1e-8)
+    np.testing.assert_allclose(pred.variance, var_o, atol=1e-8)
+    noisy = predict(post, X_star, include_noise=True)
+    assert np.array_equal(noisy.variance, pred.variance + post.noise_variance)
+
+
+def whole_matrix_predict(post, X_star):
+    """``predict``'s diagonal path as one (n, m) computation, without blocks."""
+    k_star = cross_covariance(post.kernel, post.train_X, X_star)
+    mean = post.prior_mean + k_star.T @ post.alpha
+    v = solve_triangular(post.chol, k_star, lower=True)
+    variance = np.maximum(post.kernel.signal_variance - np.sum(v**2, axis=0), 0.0)
+    return mean, variance
 
 
 def dense_lml_oracle(obs, kernel, noise, prior_mean=0.0):
@@ -179,6 +222,43 @@ class TestPredict:
             post2 = fit_posterior(obs2, kernel, 0.0, prior_mean=0.0)
             v_after = predict(post2, X_star).variance
             assert np.all(v_after <= v_before + 1e-8)
+
+    @pytest.mark.parametrize("n, d", [(1, 3), (7, 2), (200, 6)])
+    def test_blocks_match_one_whole_matrix_call(self, n, d):
+        rng = np.random.default_rng(37 + n)
+        obs, kernel, noise, _ = random_instance(rng, n=n, d=d, family="matern", nu=2.5)
+        post = fit_posterior(obs, kernel, noise, prior_mean=0.0)
+        for X_star, mean_o, var_o in block_boundary_cases(rng, obs, kernel, noise):
+            pred = predict(post, X_star)
+            mean_w, var_w = whole_matrix_predict(post, X_star)
+            assert np.array_equal(pred.mean, mean_w) and np.array_equal(pred.variance, var_w)
+            check_against_oracle(post, X_star, pred, mean_o, var_o)
+
+    def test_narrowest_blocks_match_the_oracle(self):
+        # the smallest n whose blocks are BLOCK_ALIGN wide, on a cheap 1-D
+        # design; past n ~ 400 OpenBLAS may split one whole-matrix call across
+        # threads, so bitwise equality with it holds only on one BLAS thread
+        n = gp_module.PREDICT_BLOCK // gp_module.BLOCK_ALIGN + 1
+        assert block_width(n) == gp_module.BLOCK_ALIGN
+        rng = np.random.default_rng(41)
+        obs, kernel, noise, _ = random_instance(rng, n=n, d=1, family="matern", nu=2.5)
+        post = fit_posterior(obs, kernel, noise, prior_mean=0.0)
+        for X_star, mean_o, var_o in block_boundary_cases(rng, obs, kernel, noise):
+            check_against_oracle(post, X_star, predict(post, X_star), mean_o, var_o)
+
+    def test_temporaries_stay_block_sized(self):
+        # one whole-matrix pass held ~59 MB at this size; the blocks hold ~1 MB
+        rng = np.random.default_rng(43)
+        obs, kernel, noise, _ = random_instance(rng, n=200, d=6, family="matern", nu=2.5)
+        post = fit_posterior(obs, kernel, noise)
+        X_star = rng.uniform(-2, 2, size=(1024 * 6, 6))
+        tracemalloc.start()
+        try:
+            predict(post, X_star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_representer_property(self):
         rng = np.random.default_rng(31)
@@ -416,6 +496,13 @@ class TestOptimizeHypers:
             )
             start = log_marginal_likelihood(obs, kernel0, noise0)
             assert log_marginal_likelihood(obs, kernel, noise_hat) >= start
+
+    @pytest.mark.parametrize("n_restarts, warm", [(0, False), (-1, False), (-1, True)])
+    def test_no_start_at_all_is_an_input_error(self, n_restarts, warm):
+        obs, kernel0, noise0, _ = random_instance(np.random.default_rng(61), n=6, d=2)
+        extra = [(kernel0, noise0)] if warm else None
+        with pytest.raises(GpError, match="n_restarts"):
+            optimize_hypers(obs, family="sq_exp_ard", n_restarts=n_restarts, extra_starts=extra)
 
 
 class TestSampling:

@@ -284,6 +284,12 @@ class TestBoConfigValidation:
         BoConfig(budget=5, seed=0, n_init=1, fixed_kernel=ISO)
         BoConfig(budget=1, seed=0, n_init=1)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_hyper_restarts_below_one(self, restarts):
+        # the first refit has no warm start, so it would have nothing to try
+        with pytest.raises(LoopError, match="hyper_restarts"):
+            BoConfig(budget=5, seed=0, hyper_restarts=restarts)
+
     def test_json_round_trip(self):
         cfg = BoConfig(
             budget=40,
