@@ -9,6 +9,7 @@ defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 import typing
 
@@ -41,10 +42,12 @@ def _to_json(value):
 
 def _admits(t, value) -> bool:
     """Whether a JSON value may fill a field of type ``t``: no fraction for an int, no
-    boolean for a number, only a JSON array for an array or a tuple.  Nested configs
-    leave all but null to the constructor, and so do the elements of an array."""
+    boolean, NaN or infinity for a number, only an array for an array or a tuple.
+    Nested configs leave all but null to the constructor, and so do array elements."""
     if t is int or t is float:
-        return isinstance(value, (int, t)) and not isinstance(value, bool)
+        if isinstance(value, float):
+            return t is float and math.isfinite(value)
+        return isinstance(value, int) and not isinstance(value, bool)
     if t in (str, dict, type(None)):
         return isinstance(value, t)
     if t is np.ndarray or typing.get_origin(t) is tuple:

@@ -72,6 +72,8 @@ class SampleConfig(JsonCodec, error=ConfigError):
     def __post_init__(self):
         if min(self.n_points, self.n_draws) < 1:
             raise ConfigError("n_points and n_draws must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if not (self.noise_variance >= 0.0 and np.isfinite(self.noise_variance)):
             raise ConfigError("noise_variance must be nonnegative and finite")
 
@@ -194,14 +196,14 @@ def _parse_seeds(text: str) -> list[int]:
         for part in text.split(","):
             part = part.strip()
             if "-" in part[1:]:
-                lo, hi = part.rsplit("-", 1)
-                seeds.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(v) for v in part.rsplit("-", 1))
+                if hi < lo:
+                    raise ValueError(f"descending range {part!r}")
+                seeds.extend(range(lo, hi + 1))
             else:
                 seeds.append(int(part))
     except ValueError as e:
         raise ConfigError(f"bad --seeds: {e}") from None
-    if not seeds:
-        raise ConfigError("no seeds given")
     return seeds
 
 
@@ -209,25 +211,21 @@ def _cmd_bench(args) -> int:
     cfg = _load_config(args.config)
     obj_spec = _objective_spec(cfg, args.objective)
     space = _space_from_config(cfg, obj_spec)
-    seeds = _parse_seeds(args.seeds)
-    bo_finals, rs_finals = [], []
+    # every seed's config is checked before the first run
+    configs = [_bo_config(cfg, args.budget, seed) for seed in _parse_seeds(args.seeds)]
     rows = []
-    for seed in seeds:
-        bo_cfg = _bo_config(cfg, args.budget, seed)
+    for bo_cfg in configs:
         with _open_objective(obj_spec) as objective:
             bo_trace = run_bo(objective, space, bo_cfg)
         with _open_objective(obj_spec) as objective:
             rs_trace = random_search_baseline(
-                objective, space, bo_cfg.budget, seed, direction=bo_cfg.direction
+                objective, space, bo_cfg.budget, bo_cfg.seed, direction=bo_cfg.direction
             )
-        bo_finals.append(bo_trace.best_f)
-        rs_finals.append(rs_trace.best_f)
-        rows.append((seed, bo_trace.best_f, rs_trace.best_f))
+        rows.append((bo_cfg.seed, bo_trace.best_f, rs_trace.best_f))
     print(f"{'seed':>6} {'bo_best_f':>16} {'random_best_f':>16}")
     for seed, bo_f, rs_f in rows:
         print(f"{seed:>6} {bo_f:>16.8g} {rs_f:>16.8g}")
-    bo_med = float(np.median(bo_finals))
-    rs_med = float(np.median(rs_finals))
+    bo_med, rs_med = np.median([row[1:] for row in rows], axis=0)
     print(f"{'median':>6} {bo_med:>16.8g} {rs_med:>16.8g}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -7,6 +7,7 @@ where ``scale`` is the signal variance (fits) or ``max(max diag, 1)``
 (sampling).  This one ladder is the only Cholesky in the library.
 The fitted model is frozen: ``alpha`` solves ``(K + noise I) alpha = y - m0``
 so the predictive mean is the kernel expansion ``m0 + k(x*, X) @ alpha``.
+Every triangular solve against the factor is one LAPACK ``trtrs`` call.
 
 Predictions report the latent-function variance; observation noise is added
 only when explicitly requested.  Hyperparameters are fitted by multi-start
@@ -22,8 +23,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.optimize import minimize
 
 from ._json import JsonCodec
@@ -134,7 +134,6 @@ class GpPosterior:
 class Prediction:
     mean: np.ndarray
     variance: np.ndarray
-    covariance: np.ndarray | None = None
 
 
 def _chol_with_jitter(K: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
@@ -174,9 +173,17 @@ def _chol_with_jitter(K: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
         jitter = min(2.0 * jitter, max_jitter)
 
 
-def _check_noise(noise_variance: float) -> None:
+def _checked_prior_mean(obs: ObservationSet, kernel: KernelSpec, noise_variance, prior_mean):
+    """Check a model's inputs and return its prior mean, by default the mean of ``obs.y``."""
+    if len(obs) == 0:
+        raise GpError("a GP model needs at least one observation")
     if noise_variance < 0 or not np.isfinite(noise_variance):
         raise GpError("noise_variance must be nonnegative and finite")
+    kernel.check_dimension(obs.dimension)
+    m0 = float(np.mean(obs.y)) if prior_mean is None else float(prior_mean)
+    if not math.isfinite(m0):
+        raise GpError("prior_mean must be finite")
+    return m0
 
 
 def fit_posterior(
@@ -189,18 +196,11 @@ def fit_posterior(
 
     ``prior_mean`` defaults to the mean of the observed values.
     """
-    if len(obs) == 0:
-        raise GpError("cannot fit a posterior to an empty observation set")
-    _check_noise(noise_variance)
-    kernel.check_dimension(obs.dimension)
-    m0 = float(np.mean(obs.y)) if prior_mean is None else float(prior_mean)
-    K = gram_matrix(kernel, obs.X)
-    K[np.diag_indices_from(K)] += noise_variance
+    m0 = _checked_prior_mean(obs, kernel, noise_variance, prior_mean)
+    K = gram_matrix(kernel, obs.X, noise_variance)
     L, jitter = _chol_with_jitter(K, kernel.signal_variance)
-    resid = obs.y - m0
-    alpha = solve_triangular(
-        L.T, solve_triangular(L, resid, lower=True), lower=False
-    )
+    w, _ = dtrtrs(L, obs.y - m0, lower=1)
+    alpha, _ = dtrtrs(L, w, lower=1, trans=1)
     return GpPosterior(
         kernel=kernel,
         noise_variance=float(noise_variance),
@@ -212,34 +212,26 @@ def fit_posterior(
     )
 
 
-def predict(
-    post: GpPosterior,
-    X_star,
-    full_cov: bool = False,
-    include_noise: bool = False,
-) -> Prediction:
-    """Posterior mean and latent-function variance at test points.
-
-    Without ``full_cov`` the test points are taken in blocks of about
-    ``PREDICT_BLOCK / n`` (at least ``BLOCK_ALIGN``), so no temporary
-    outgrows the cache.
-    """
+def _test_points(post: GpPosterior, X_star) -> np.ndarray:
+    """``X_star`` as a nonempty (m, d) array: a 1-D one is m points if d = 1, else one."""
     X_star = np.asarray(X_star, dtype=float)
     if X_star.ndim == 1:
         X_star = X_star.reshape(-1, 1) if post.dimension == 1 else X_star.reshape(1, -1)
     if X_star.shape[0] == 0:
-        raise GpError("predict requires at least one test point")
+        raise GpError("need at least one test point")
     if X_star.shape[1] != post.dimension:
         raise GpError("test points have wrong dimension")
-    if full_cov:
-        mean, v = _mean_and_whitened(post, X_star)
-        prior_cov = cross_covariance(post.kernel, X_star, X_star)
-        cov = prior_cov - v.T @ v
-        cov = 0.5 * (cov + cov.T)
-        if include_noise:
-            cov[np.diag_indices_from(cov)] += post.noise_variance
-        variance = np.maximum(np.diag(cov).copy(), 0.0)
-        return Prediction(mean=mean, variance=variance, covariance=cov)
+    return X_star
+
+
+def predict(post: GpPosterior, X_star, include_noise: bool = False) -> Prediction:
+    """Posterior mean and latent-function variance at test points.
+
+    ``include_noise`` adds the observation noise to the variance.  The test
+    points are taken in blocks of about ``PREDICT_BLOCK / n`` (at least
+    ``BLOCK_ALIGN``), so no temporary outgrows the cache.
+    """
+    X_star = _test_points(post, X_star)
     m = X_star.shape[0]
     mean, variance = np.empty(m), np.empty(m)
     width = max(PREDICT_BLOCK // (BLOCK_ALIGN * len(post.alpha)), 1) * BLOCK_ALIGN
@@ -257,7 +249,8 @@ def _mean_and_whitened(post: GpPosterior, X_star: np.ndarray):
     """Posterior mean at ``X_star`` and ``L^-1 k(train_X, X_star)``, (n, m)."""
     k_star = cross_covariance(post.kernel, post.train_X, X_star)  # (n, m)
     mean = post.prior_mean + k_star.T @ post.alpha
-    return mean, solve_triangular(post.chol, k_star, lower=True)
+    v, _ = dtrtrs(post.chol, k_star, lower=1)
+    return mean, v
 
 
 def _lml_function(X: np.ndarray, resid: np.ndarray, family: str, nu: float | None):
@@ -319,11 +312,7 @@ def log_marginal_likelihood(
     log length_scales..., log noise_variance]``.  ``prior_mean`` defaults to
     the mean of the observed values.
     """
-    if len(obs) == 0:
-        raise GpError("log_marginal_likelihood requires observations")
-    _check_noise(noise_variance)
-    kernel.check_dimension(obs.dimension)
-    m0 = float(np.mean(obs.y)) if prior_mean is None else float(prior_mean)
+    m0 = _checked_prior_mean(obs, kernel, noise_variance, prior_mean)
     lml = _lml_function(obs.X, obs.y - m0, kernel.family, kernel.nu)
     return lml(kernel.signal_variance, kernel.length_scales, noise_variance, with_grad)
 
@@ -367,11 +356,11 @@ def optimize_hypers(
     if n_restarts < 0 or not (n_restarts or extra_starts):
         raise GpError("optimize_hypers needs n_restarts >= 1 or an extra start")
     fit_noise = fixed_noise is None
-    if not fit_noise:
-        _check_noise(fixed_noise)
     bounds = bounds or HyperBounds()
     ones = np.ones(1 if family == SQ_EXP_ISO else obs.dimension)
     template = KernelSpec(family, length_scales=ones, nu=nu)
+    # a fitted noise stays inside its bounds, so only a fixed one needs the check
+    m0 = _checked_prior_mean(obs, template, 0.0 if fit_noise else fixed_noise, None)
     n_kernel = template.n_hypers
     pairs = [bounds.signal_variance] + [bounds.length_scale] * (n_kernel - 1)
     if fit_noise:
@@ -380,7 +369,7 @@ def optimize_hypers(
     lo = np.array([math.log(a) for a, _ in pairs])
     hi = np.array([math.log(b) for _, b in pairs])
 
-    lml = _lml_function(obs.X, obs.y - float(np.mean(obs.y)), family, template.nu)
+    lml = _lml_function(obs.X, obs.y - m0, family, template.nu)
 
     def neg_lml(z: np.ndarray) -> tuple[float, np.ndarray]:
         noise = math.exp(z[-1]) if fit_noise else fixed_noise
@@ -421,9 +410,9 @@ def sample_function(
 ) -> np.ndarray:
     """Draw from N(mean, covariance); returns an (n_draws, m) matrix.
 
-    ``mean``/``covariance`` typically come from :func:`predict` with
-    ``full_cov=True`` (posterior) or from :func:`gpbo.kernels.gram_matrix`
-    with a zero/constant mean (prior).  Deterministic given ``seed``.
+    :func:`sample_posterior` passes the posterior's mean and covariance,
+    :func:`sample_prior` a constant mean and the Gram matrix.  Deterministic
+    given ``seed``.
     """
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.asarray(covariance, dtype=float)
@@ -445,6 +434,9 @@ def sample_prior(
 
 
 def sample_posterior(post: GpPosterior, X, n_draws: int, seed: int) -> np.ndarray:
-    """Draws from the fitted posterior at points X."""
-    pred = predict(post, X, full_cov=True)
-    return sample_function(pred.mean, pred.covariance, n_draws, seed)
+    """Draws from the fitted posterior at points X, whose latent covariance is
+    ``k(X, X) - v^T v`` for ``v = L^-1 k(train_X, X)``, symmetrized."""
+    X = _test_points(post, X)
+    mean, v = _mean_and_whitened(post, X)
+    cov = cross_covariance(post.kernel, X, X) - v.T @ v
+    return sample_function(mean, 0.5 * (cov + cov.T), n_draws, seed)

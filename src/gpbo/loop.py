@@ -119,6 +119,8 @@ class BoConfig(JsonCodec, error=LoopError):
     def __post_init__(self):
         if self.budget < 1:
             raise LoopError("budget must be positive")
+        if self.seed < 0:
+            raise LoopError("seed must be nonnegative")
         if self.n_init is not None and not (1 <= self.n_init <= self.budget):
             raise LoopError("need 1 <= n_init <= budget")
         if self.fixed_kernel is None and self.n_init == 1 and self.budget > 1:

@@ -115,7 +115,7 @@ def read_trace(path) -> Trace:
     return trace
 
 
-def traces_equal(a: Trace, b: Trace, include_wall: bool = True) -> bool:
+def traces_equal(a: Trace, b: Trace) -> bool:
     """Equality on the CSV-persisted fields (NaN compares equal to NaN)."""
 
     def feq(u, v):
@@ -132,6 +132,6 @@ def traces_equal(a: Trace, b: Trace, include_wall: bool = True) -> bool:
             return False
         if not feq(ra.acq_value, rb.acq_value):
             return False
-        if include_wall and not feq(ra.wall_ms, rb.wall_ms):
+        if not feq(ra.wall_ms, rb.wall_ms):
             return False
     return True

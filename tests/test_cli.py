@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gpbo import cli
 from gpbo.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OBJECTIVE, EXIT_OK, main
 from gpbo.trace_io import read_trace
 
@@ -262,6 +263,22 @@ class TestBench:
         assert lines[0] == "seed,bo_best_f,random_best_f"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [
+            ("5-2", "descending range '5-2'"),
+            ("1,5-2", "descending range '5-2'"),
+            ("0,-1", "seed must be nonnegative"),
+        ],
+    )
+    def test_bad_seeds_exit_2_before_the_first_run(
+        self, tmp_path, monkeypatch, capsys, seeds, message
+    ):
+        cfg = write_config(tmp_path, bo={"budget": 12, "n_init": 5})
+        monkeypatch.setattr(cli, "run_bo", lambda *a, **k: pytest.fail("a seed ran"))
+        assert main(["bench", "--config", str(cfg), "--seeds", seeds]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_seeds_flag_mandatory(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         with pytest.raises(SystemExit) as err:
@@ -366,6 +383,14 @@ class TestSample:
         ("baseline", "objective.command", "python3 demos/sphere_worker.py", []),
         ("run", "space.lower", "abc", []),
         ("run", "bo.hyper_restarts", 0, []),
+        ("run", "bo.noise_variance", math.nan, []),
+        ("run", "bo.acquisition", {"xi": math.nan}, []),
+        ("run", "bo.acquisition", {"family": "ucb", "upsilon": math.inf}, []),
+        ("run", "bo.seed", -1, []),
+        ("run", "seed", None, ["--seed", "-1"]),
+        ("baseline", "seed", None, ["--seed", "-1"]),
+        ("sample", "sample.seed", -1, []),
+        ("sample", "seed", None, ["--seed", "-1"]),
     ],
 )
 def test_config_mistake_exits_2_before_any_output(

@@ -37,8 +37,8 @@ FAMILIES = [
 ]
 
 
-def dense_predict_oracle(obs, kernel, noise, X_star, prior_mean=0.0):
-    """Joint-Gaussian conditioning via explicit dense inverses."""
+def dense_posterior_oracle(obs, kernel, noise, X_star, prior_mean=0.0):
+    """Joint-Gaussian conditioning via explicit dense inverses: mean and covariance."""
     K = gram_matrix(kernel, obs.X) + noise * np.eye(len(obs))
     Ks = np.array(
         [[eval_kernel(kernel, xs, xt) for xt in obs.X] for xs in np.atleast_2d(X_star)]
@@ -46,7 +46,11 @@ def dense_predict_oracle(obs, kernel, noise, X_star, prior_mean=0.0):
     Kss = gram_matrix(kernel, X_star)
     Kinv = np.linalg.inv(K)
     mean = prior_mean + Ks @ Kinv @ (obs.y - prior_mean)
-    cov = Kss - Ks @ Kinv @ Ks.T
+    return mean, Kss - Ks @ Kinv @ Ks.T
+
+
+def dense_predict_oracle(obs, kernel, noise, X_star, prior_mean=0.0):
+    mean, cov = dense_posterior_oracle(obs, kernel, noise, X_star, prior_mean)
     return mean, np.diag(cov)
 
 
@@ -142,6 +146,12 @@ class TestFitPosterior:
     def test_empty_obs_raises(self):
         with pytest.raises(GpError):
             fit_posterior(ObservationSet(np.empty((0, 1)), []), ISO, 0.0)
+
+    @pytest.mark.parametrize("fn", [fit_posterior, log_marginal_likelihood])
+    @pytest.mark.parametrize("prior_mean", [math.nan, math.inf])
+    def test_non_finite_prior_mean_raises(self, fn, prior_mean):
+        with pytest.raises(GpError, match="prior_mean"):
+            fn(ObservationSet([[0.0]], [1.0]), ISO, 0.1, prior_mean=prior_mean)
 
     def test_default_prior_mean_is_y_mean(self):
         obs = ObservationSet([[0.0], [1.0]], [2.0, 4.0])
@@ -519,6 +529,22 @@ class TestSampling:
         np.testing.assert_allclose(
             draws, np.tile(obs.y, (200, 1)), atol=1e-5
         )
+
+    @pytest.mark.parametrize("family, nu", FAMILIES)
+    def test_posterior_mean_and_covariance_match_the_oracle(self, monkeypatch, family, nu):
+        rng = np.random.default_rng(53)
+        obs, kernel, noise, X_star = random_instance(rng, n=9, m=6, family=family, nu=nu)
+        post = fit_posterior(obs, kernel, noise, prior_mean=0.0)
+        handed = []
+        monkeypatch.setattr(
+            gp_module, "sample_function", lambda mean, cov, n, seed: handed.append((mean, cov))
+        )
+        sample_posterior(post, X_star, 3, seed=0)
+        (mean, cov), = handed
+        mean_o, cov_o = dense_posterior_oracle(obs, kernel, noise, X_star)
+        np.testing.assert_allclose(mean, mean_o, atol=1e-8)
+        np.testing.assert_allclose(cov, cov_o, atol=1e-8)
+        assert np.array_equal(cov, cov.T)
 
     def test_indefinite_covariance_raises(self):
         with pytest.raises(FactorizationError):

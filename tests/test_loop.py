@@ -290,6 +290,11 @@ class TestBoConfigValidation:
         with pytest.raises(LoopError, match="hyper_restarts"):
             BoConfig(budget=5, seed=0, hyper_restarts=restarts)
 
+    def test_negative_seed(self):
+        # numpy's generators take no negative seed
+        with pytest.raises(LoopError, match="seed"):
+            BoConfig(budget=5, seed=-1)
+
     def test_json_round_trip(self):
         cfg = BoConfig(
             budget=40,

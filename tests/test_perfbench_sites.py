@@ -6,9 +6,15 @@ loaded from its file and only read.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from gpbo import loop
+from gpbo.gp import ObservationSet, fit_posterior
+from gpbo.kernels import KernelSpec
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -29,3 +35,13 @@ SPANS = _load_spans()
 def test_call_site_resolves_to_a_gpbo_callable(owner, attribute):
     assert owner.startswith("gpbo.")
     assert callable(getattr(SPANS._owner(owner), attribute))
+
+
+def test_predict_note_counts_the_test_points():
+    # spans.py notes ``len(a[1])`` for each gp.predict call
+    assert list(inspect.signature(loop.predict).parameters)[1] == "X_star"
+    note = next(n for _, _, name, n in SPANS.CALL_SITES if name == "gp.predict")
+    obs = ObservationSet([[0.0, 0.0], [1.0, 0.5]], [0.0, 1.0])
+    post = fit_posterior(obs, KernelSpec("sq_exp_iso"), 0.1)
+    X_star = np.zeros((5, 2))
+    assert note((post, X_star), loop.predict(post, X_star)) == 5
