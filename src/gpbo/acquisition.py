@@ -52,8 +52,8 @@ class AcquisitionSpec(JsonCodec, error=AcquisitionError):
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise AcquisitionError(f"unknown acquisition family {self.family!r}")
-        if self.xi < 0 or self.upsilon < 0:
-            raise AcquisitionError("xi and upsilon must be nonnegative")
+        if not all(v >= 0 and math.isfinite(v) for v in (self.xi, self.upsilon)):
+            raise AcquisitionError("xi and upsilon must be nonnegative and finite")
         if self.xi_decay is not None and not (0 < self.xi_decay <= 1):
             raise AcquisitionError("xi_decay must lie in (0, 1]")
 

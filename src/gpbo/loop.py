@@ -14,6 +14,7 @@ fully deterministic for a deterministic objective.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ from . import gp
 from ._json import JsonCodec
 from .acquisition import AcquisitionSpec, score
 from .gp import (
+    FactorizationError,
     GpPosterior,
     HyperBounds,
     ObservationSet,
@@ -36,6 +38,11 @@ from .kernels import MATERN, KernelSpec
 #: training-point proximity (scaled units) below which a noiseless proposal
 #: is treated as a duplicate and replaced
 DUPLICATE_TOL = 1e-9
+
+#: the first refit after the initial design, and every FULL_REFIT_EVERY-th
+#: one after it, adds ``hyper_restarts`` random starts to the warm start;
+#: the refits between them start from the previous fit alone
+FULL_REFIT_EVERY = 5
 
 
 class LoopError(ValueError):
@@ -132,8 +139,8 @@ class BoConfig(JsonCodec, error=LoopError):
         if isinstance(self.noise_variance, str):
             if self.noise_variance != "fit":
                 raise LoopError('noise_variance must be a nonneg real or "fit"')
-        elif self.noise_variance < 0:
-            raise LoopError("noise_variance must be nonnegative")
+        elif not (self.noise_variance >= 0 and math.isfinite(self.noise_variance)):
+            raise LoopError("noise_variance must be nonnegative and finite")
         if self.candidate_count is not None and self.candidate_count < 1:
             raise LoopError("candidate_count must be at least 1")
         if self.refine_iters < 0:
@@ -325,8 +332,14 @@ def run_bo(objective, space: SearchSpace, config: BoConfig, trace_writer=None) -
 
     ``objective`` maps a point (native units) to a finite float.  The first
     ``n_init`` points are scrambled Halton; every later one refits the GP on
-    all points seen so far and maximizes the acquisition.  ``trace_writer``
-    and :class:`ObjectiveFailure` behave as in :func:`drive`.
+    all points seen so far and maximizes the acquisition.  Unless
+    ``config.fixed_kernel`` is set, a refit fits the hyperparameters from a
+    warm start at the previous refit's.  The first refit, and every
+    :data:`FULL_REFIT_EVERY`-th after it, adds ``config.hyper_restarts``
+    log-uniform random starts; so does any refit whose warm start alone
+    fails to factorize.  The schedule depends on the iteration only.
+    ``trace_writer`` and :class:`ObjectiveFailure` behave as in
+    :func:`drive`.
     """
     d = space.dimension
     if config.fixed_kernel is not None:
@@ -357,16 +370,26 @@ def run_bo(objective, space: SearchSpace, config: BoConfig, trace_writer=None) -
             fixed_noise = (
                 None if fit_noise else float(config.noise_variance) / y_sd**2
             )
-            kernel, noise = optimize_hypers(
-                obs_std,
+            fit_args = dict(
                 family=config.kernel_family,
                 bounds=config.hyper_bounds,
-                n_restarts=config.hyper_restarts,
                 seed=_child_seed(config.seed, 2 * it + 1),
                 nu=config.nu if config.kernel_family == MATERN else None,
                 fixed_noise=fixed_noise,
                 extra_starts=[prev_fit] if prev_fit else None,
             )
+            full = (it - n_init) % FULL_REFIT_EVERY == 0
+            try:
+                kernel, noise = optimize_hypers(
+                    obs_std, n_restarts=config.hyper_restarts if full else 0, **fit_args
+                )
+            except FactorizationError:
+                if full:
+                    raise
+                # the random starts may still find a factorizable fit
+                kernel, noise = optimize_hypers(
+                    obs_std, n_restarts=config.hyper_restarts, **fit_args
+                )
             prev_fit = (kernel, noise)
         post = fit_posterior(obs_std, kernel, noise, prior_mean=0.0)
 

@@ -108,7 +108,7 @@ class ObjectiveSpec(JsonCodec, error=ObjectiveError):
                 raise ObjectiveError("external objective requires a command")
             if self.mode not in ("persistent", "oneshot"):
                 raise ObjectiveError('mode must be "persistent" or "oneshot"')
-            if self.timeout <= 0:
-                raise ObjectiveError("timeout must be positive")
+            if not (self.timeout > 0 and math.isfinite(self.timeout)):
+                raise ObjectiveError("timeout must be positive and finite")
         else:
             raise ObjectiveError(f'kind must be "builtin" or "external", got {self.kind!r}')

@@ -181,6 +181,14 @@ class TestAcquisitionSpec:
         with pytest.raises(AcquisitionError):
             AcquisitionSpec(xi_decay=0.0)
 
+    @pytest.mark.parametrize(
+        "kw", [{"xi": math.nan}, {"xi": math.inf}, {"family": "ucb", "upsilon": math.inf},
+               {"family": "lcb", "upsilon": math.nan}],
+    )
+    def test_non_finite_knobs_raise(self, kw):
+        with pytest.raises(AcquisitionError, match="finite"):
+            AcquisitionSpec(**kw)
+
     def test_xi_schedule(self):
         const = AcquisitionSpec(xi=0.5)
         assert const.xi_at(10) == 0.5

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gpbo import gp
+from gpbo import gp, loop
 from gpbo.acquisition import AcquisitionSpec, expected_improvement
 from gpbo.baseline import random_search_baseline
 from gpbo.gp import HyperBounds, ObservationSet, fit_posterior, predict
@@ -222,6 +222,73 @@ class TestRunBo:
         assert trace.best_f < 0.05
 
 
+def _record_fits(monkeypatch, fail=lambda call: False):
+    """Wrap ``loop.optimize_hypers``; returns the list of its calls' arguments.
+
+    A call for which ``fail(call)`` holds raises ``FactorizationError``
+    instead of fitting.
+    """
+    calls = []
+    real = loop.optimize_hypers
+
+    def wrapped(obs, **kw):
+        call = dict(kw, n=len(obs))
+        calls.append(call)
+        if fail(call):
+            raise gp.FactorizationError("forced")
+        return real(obs, **kw)
+
+    monkeypatch.setattr(loop, "optimize_hypers", wrapped)
+    return calls
+
+
+class TestRefitSchedule:
+    BUDGET, N_INIT, RESTARTS = 30, 4, 3
+
+    def run(self, **kw):
+        cfg = BoConfig(budget=self.BUDGET, seed=7, n_init=self.N_INIT,
+                       hyper_restarts=self.RESTARTS, **kw)
+        return run_bo(sphere, SearchSpace([-2, -2], [2, 2]), cfg)
+
+    def test_random_starts_run_on_every_kth_refit_only(self, monkeypatch):
+        calls = _record_fits(monkeypatch)
+        trace = self.run()
+        assert len(trace) == self.BUDGET
+        assert [c["n"] for c in calls] == list(range(self.N_INIT, self.BUDGET))
+        assert calls[0]["extra_starts"] is None
+        for refit, c in enumerate(calls):
+            full = refit % loop.FULL_REFIT_EVERY == 0
+            assert c["n_restarts"] == (self.RESTARTS if full else 0), refit
+            if refit:
+                assert len(c["extra_starts"]) == 1
+        # the restart seed depends on the iteration alone, as before
+        seeds = [c["seed"] for c in calls]
+        assert seeds == [loop._child_seed(7, 2 * it + 1) for it in range(self.N_INIT, self.BUDGET)]
+
+    def test_fixed_kernel_never_fits(self, monkeypatch):
+        calls = _record_fits(monkeypatch)
+        self.run(fixed_kernel=ISO, noise_variance=1e-6)
+        assert calls == []
+
+    def test_failed_warm_start_refit_falls_back_to_random_starts(self, monkeypatch):
+        calls = _record_fits(monkeypatch, fail=lambda c: c["n_restarts"] == 0)
+        trace = self.run()
+        assert len(trace) == self.BUDGET
+        assert all(r.hypers is not None for r in trace.records[self.N_INIT:])
+        warm = [i for i, c in enumerate(calls) if c["n_restarts"] == 0]
+        assert warm
+        for i in warm:  # each failure is retried at once, with the same seed
+            retry = calls[i + 1]
+            assert retry["n_restarts"] == self.RESTARTS
+            assert retry["n"] == calls[i]["n"] and retry["seed"] == calls[i]["seed"]
+
+    def test_failed_full_refit_is_not_retried(self, monkeypatch):
+        calls = _record_fits(monkeypatch, fail=lambda c: c["n_restarts"] > 0)
+        with pytest.raises(gp.FactorizationError):
+            self.run()
+        assert len(calls) == 1
+
+
 def _run_bo(objective, space, budget, seed, direction=gp.MINIMIZE, trace_writer=None):
     cfg = sphere_config(budget=budget, seed=seed, direction=direction)
     return run_bo(objective, space, cfg, trace_writer=trace_writer)
@@ -277,6 +344,11 @@ class TestBoConfigValidation:
     def test_bad_noise_string(self):
         with pytest.raises(LoopError):
             BoConfig(budget=5, seed=0, noise_variance="learn")
+
+    @pytest.mark.parametrize("noise", [-1e-6, math.nan, math.inf])
+    def test_noise_variance_must_be_nonnegative_and_finite(self, noise):
+        with pytest.raises(LoopError, match="noise_variance"):
+            BoConfig(budget=5, seed=0, noise_variance=noise)
 
     def test_n_init_one_needs_fixed_kernel(self):
         with pytest.raises(LoopError):

@@ -97,6 +97,11 @@ class TestObjectiveSpec:
         with pytest.raises(ObjectiveError):
             ObjectiveSpec(kind="external")
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf])
+    def test_timeout_must_be_positive_and_finite(self, timeout):
+        with pytest.raises(ObjectiveError, match="timeout"):
+            ObjectiveSpec(kind="external", command=["x"], timeout=timeout)
+
     def test_json_round_trip(self):
         external = ObjectiveSpec(
             kind="external", command=("python3", "worker.py"), mode="oneshot",
