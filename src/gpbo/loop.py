@@ -39,11 +39,6 @@ from .kernels import MATERN, KernelSpec
 #: is treated as a duplicate and replaced
 DUPLICATE_TOL = 1e-9
 
-#: the first refit after the initial design, and every FULL_REFIT_EVERY-th
-#: one after it, adds ``hyper_restarts`` random starts to the warm start;
-#: the refits between them start from the previous fit alone
-FULL_REFIT_EVERY = 5
-
 
 class LoopError(ValueError):
     """Invalid search space or loop configuration."""
@@ -333,13 +328,13 @@ def run_bo(objective, space: SearchSpace, config: BoConfig, trace_writer=None) -
     ``objective`` maps a point (native units) to a finite float.  The first
     ``n_init`` points are scrambled Halton; every later one refits the GP on
     all points seen so far and maximizes the acquisition.  Unless
-    ``config.fixed_kernel`` is set, a refit fits the hyperparameters from a
-    warm start at the previous refit's.  The first refit, and every
-    :data:`FULL_REFIT_EVERY`-th after it, adds ``config.hyper_restarts``
-    log-uniform random starts; so does any refit whose warm start alone
-    fails to factorize.  The schedule depends on the iteration only.
-    ``trace_writer`` and :class:`ObjectiveFailure` behave as in
-    :func:`drive`.
+    ``config.fixed_kernel`` is set, each refit fits the hyperparameters from
+    ``config.hyper_restarts`` L-BFGS starts: the first refit draws them all
+    log-uniformly, and every later one replaces one of them with the
+    previous refit's fit.  A later refit that fails to factorize from those
+    starts is rerun with all ``config.hyper_restarts`` random starts beside
+    the previous fit.  ``trace_writer`` and :class:`ObjectiveFailure` behave
+    as in :func:`drive`.
     """
     d = space.dimension
     if config.fixed_kernel is not None:
@@ -378,15 +373,14 @@ def run_bo(objective, space: SearchSpace, config: BoConfig, trace_writer=None) -
                 fixed_noise=fixed_noise,
                 extra_starts=[prev_fit] if prev_fit else None,
             )
-            full = (it - n_init) % FULL_REFIT_EVERY == 0
+            # the warm start takes one random start's place
+            n_restarts = config.hyper_restarts - (prev_fit is not None)
             try:
-                kernel, noise = optimize_hypers(
-                    obs_std, n_restarts=config.hyper_restarts if full else 0, **fit_args
-                )
+                kernel, noise = optimize_hypers(obs_std, n_restarts=n_restarts, **fit_args)
             except FactorizationError:
-                if full:
+                if n_restarts == config.hyper_restarts:
                     raise
-                # the random starts may still find a factorizable fit
+                # one more random start may still find a factorizable fit
                 kernel, noise = optimize_hypers(
                     obs_std, n_restarts=config.hyper_restarts, **fit_args
                 )

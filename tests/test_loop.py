@@ -245,22 +245,21 @@ def _record_fits(monkeypatch, fail=lambda call: False):
 class TestRefitSchedule:
     BUDGET, N_INIT, RESTARTS = 30, 4, 3
 
-    def run(self, **kw):
+    def run(self, hyper_restarts=RESTARTS, **kw):
         cfg = BoConfig(budget=self.BUDGET, seed=7, n_init=self.N_INIT,
-                       hyper_restarts=self.RESTARTS, **kw)
+                       hyper_restarts=hyper_restarts, **kw)
         return run_bo(sphere, SearchSpace([-2, -2], [2, 2]), cfg)
 
-    def test_random_starts_run_on_every_kth_refit_only(self, monkeypatch):
+    def test_warm_start_takes_one_random_starts_place_after_the_first_refit(self, monkeypatch):
         calls = _record_fits(monkeypatch)
         trace = self.run()
         assert len(trace) == self.BUDGET
         assert [c["n"] for c in calls] == list(range(self.N_INIT, self.BUDGET))
+        assert calls[0]["n_restarts"] == self.RESTARTS
         assert calls[0]["extra_starts"] is None
-        for refit, c in enumerate(calls):
-            full = refit % loop.FULL_REFIT_EVERY == 0
-            assert c["n_restarts"] == (self.RESTARTS if full else 0), refit
-            if refit:
-                assert len(c["extra_starts"]) == 1
+        for c in calls[1:]:
+            assert c["n_restarts"] == self.RESTARTS - 1
+            assert len(c["extra_starts"]) == 1
         # the restart seed depends on the iteration alone, as before
         seeds = [c["seed"] for c in calls]
         assert seeds == [loop._child_seed(7, 2 * it + 1) for it in range(self.N_INIT, self.BUDGET)]
@@ -270,19 +269,20 @@ class TestRefitSchedule:
         self.run(fixed_kernel=ISO, noise_variance=1e-6)
         assert calls == []
 
-    def test_failed_warm_start_refit_falls_back_to_random_starts(self, monkeypatch):
-        calls = _record_fits(monkeypatch, fail=lambda c: c["n_restarts"] == 0)
-        trace = self.run()
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_failed_warm_start_refit_falls_back_to_random_starts(self, monkeypatch, restarts):
+        calls = _record_fits(monkeypatch, fail=lambda c: c["n_restarts"] == restarts - 1)
+        trace = self.run(hyper_restarts=restarts)
         assert len(trace) == self.BUDGET
         assert all(r.hypers is not None for r in trace.records[self.N_INIT:])
-        warm = [i for i, c in enumerate(calls) if c["n_restarts"] == 0]
-        assert warm
+        warm = [i for i, c in enumerate(calls) if c["n_restarts"] == restarts - 1]
+        assert len(warm) == self.BUDGET - self.N_INIT - 1
         for i in warm:  # each failure is retried at once, with the same seed
             retry = calls[i + 1]
-            assert retry["n_restarts"] == self.RESTARTS
+            assert retry["n_restarts"] == restarts
             assert retry["n"] == calls[i]["n"] and retry["seed"] == calls[i]["seed"]
 
-    def test_failed_full_refit_is_not_retried(self, monkeypatch):
+    def test_failed_first_refit_is_not_retried(self, monkeypatch):
         calls = _record_fits(monkeypatch, fail=lambda c: c["n_restarts"] > 0)
         with pytest.raises(gp.FactorizationError):
             self.run()
