@@ -65,13 +65,13 @@ class AcquisitionSpec(JsonCodec, error=AcquisitionError):
 
 def _check_finite(*vals) -> None:
     for v in vals:
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise AcquisitionError("non-finite acquisition input")
 
 
 def _check_sigma(sigma) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma < 0):
+    if (sigma < 0).any():
         raise AcquisitionError("sigma must be nonnegative")
     return sigma
 

@@ -7,7 +7,11 @@ where ``scale`` is the signal variance (fits) or ``max(max diag, 1)``
 (sampling).  This one ladder is the only Cholesky in the library.
 The fitted model is frozen: ``alpha`` solves ``(K + noise I) alpha = y - m0``
 so the predictive mean is the kernel expansion ``m0 + k(x*, X) @ alpha``.
-Every triangular solve against the factor is one LAPACK ``trtrs`` call.
+``alpha`` comes from two LAPACK ``trtrs`` solves against the factor ``L``.
+The fit also inverts ``L`` once (LAPACK ``trtri``, n^3/3 flops), so the
+predictive variance whitens test points by one triangular multiply (BLAS
+``trmm``) instead of a triangular solve per block, as in Pleiss et al. 2018,
+"Constant-Time Predictive Distributions for Gaussian Processes".
 
 Predictions report the latent-function variance; observation noise is added
 only when explicitly requested.  Hyperparameters are fitted by multi-start
@@ -23,7 +27,8 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtri, dtrtrs
 from scipy.optimize import minimize
 
 from ._json import JsonCodec
@@ -41,21 +46,27 @@ MAXIMIZE = "maximize"
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+#: float64 machine epsilon, for the jitter ladder's pivot test
+EPS = np.finfo(float).eps
 #: first jitter rung after the exact matrix fails, as a fraction of the scale
 DEFAULT_JITTER_SCALE = 1e-12
 #: jitter escalation cap, as a fraction of the scale
 MAX_JITTER_SCALE = 1e-4
 #: L-BFGS iteration cap per hyperparameter restart
 LBFGS_MAXITER = 200
-#: entries in one (n, width) block of ``predict``: ~128 KB of float64, so its
-#: temporaries stay in L2 cache (with 64 K, predict at n = 200 ran 1.3-1.6x slower)
+#: entries in one (n, width) block of ``predict``, at least ``BLOCK_ALIGN``
+#: wide: ~128 KB of float64, so its temporaries stay in L2 cache (with 32 K,
+#: predict over 2048 points at d = 2 ran 1.2-1.5x slower at n = 40 and 60;
+#: with 8 K, over 6144 points at d = 6, no faster at any n up to 200)
 PREDICT_BLOCK = 16384
-#: ``predict`` blocks start at multiples of this, and a remainder of at most
-#: this many test points joins the block before it.  Within one call,
-#: OpenBLAS's gemv takes test points in groups of 4 and its trsm in panels of
-#: 24 (SkylakeX kernels), and each sums a leftover in another order; so on one
-#: BLAS thread every test point gets the bits of one whole-matrix call
-BLOCK_ALIGN = 24
+#: ``predict`` blocks start at multiples of this, and a remainder of fewer
+#: than this many test points joins the block before it.  Within one call,
+#: OpenBLAS's gemv takes test points in groups of 4, and on one thread its
+#: trmm (SkylakeX kernels) sums the last ``w % 8`` points of a call more than
+#: 192 wide in another order.  The last block, at least 192 wide, then sums
+#: the same leftover as one whole-matrix call the same way, so every test
+#: point gets the bits of that call
+BLOCK_ALIGN = 192
 
 
 class GpError(ValueError):
@@ -115,13 +126,15 @@ class ObservationSet:
 
 @dataclass(frozen=True)
 class GpPosterior:
-    """Frozen fitted model: Cholesky factor of K + noise I + jitter I."""
+    """Frozen fitted model: the lower Cholesky factor ``chol`` of
+    K + noise I + jitter I, its inverse ``chol_inv``, and the dual weights."""
 
     kernel: KernelSpec
     noise_variance: float
     prior_mean: float
     train_X: np.ndarray
     chol: np.ndarray  # lower triangular
+    chol_inv: np.ndarray  # its inverse, lower triangular
     alpha: np.ndarray
     jitter: float
 
@@ -151,14 +164,14 @@ def _chol_with_jitter(K: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     raises ``GpError``, never ``FactorizationError``: it is a fault, not a
     hyperparameter region for the fit to step away from.
     """
-    if not np.all(np.isfinite(K)):
+    if not np.isfinite(K).all():
         raise GpError("cannot factorize a matrix with non-finite entries")
     jitter = 0.0
     max_jitter = MAX_JITTER_SCALE * scale
-    tiny = K.shape[0] * np.finfo(float).eps * scale
+    tiny = K.shape[0] * EPS * scale
     while True:
         L, info = dpotrf(K + jitter * np.eye(K.shape[0]) if jitter else K, lower=1)
-        if info == 0 and np.min(np.diagonal(L)) ** 2 > tiny:
+        if info == 0 and L.diagonal().min() ** 2 > tiny:
             return L, jitter
         if jitter == 0.0:
             jitter = DEFAULT_JITTER_SCALE * scale
@@ -201,12 +214,14 @@ def fit_posterior(
     L, jitter = _chol_with_jitter(K, kernel.signal_variance)
     w, _ = dtrtrs(L, obs.y - m0, lower=1)
     alpha, _ = dtrtrs(L, w, lower=1, trans=1)
+    L_inv, _ = dtrtri(L, lower=1)
     return GpPosterior(
         kernel=kernel,
         noise_variance=float(noise_variance),
         prior_mean=m0,
         train_X=obs.X,
         chol=L,
+        chol_inv=L_inv,
         alpha=alpha,
         jitter=jitter,
     )
@@ -227,15 +242,17 @@ def _test_points(post: GpPosterior, X_star) -> np.ndarray:
 def predict(post: GpPosterior, X_star, include_noise: bool = False) -> Prediction:
     """Posterior mean and latent-function variance at test points.
 
-    ``include_noise`` adds the observation noise to the variance.  The test
-    points are taken in blocks of about ``PREDICT_BLOCK / n`` (at least
-    ``BLOCK_ALIGN``), so no temporary outgrows the cache.
+    The variance is ``k(x*, x*) - |L^-1 k(train_X, x*)|^2``, with
+    ``L^-1 k`` formed by one multiply with ``post.chol_inv`` per block.
+    ``include_noise`` adds the observation noise to the variance.  The test points are taken in blocks
+    of about ``PREDICT_BLOCK / n`` (at least ``BLOCK_ALIGN``), so no
+    temporary outgrows the cache.
     """
     X_star = _test_points(post, X_star)
     m = X_star.shape[0]
     mean, variance = np.empty(m), np.empty(m)
     width = max(PREDICT_BLOCK // (BLOCK_ALIGN * len(post.alpha)), 1) * BLOCK_ALIGN
-    edges = [*range(0, max(m - BLOCK_ALIGN, 1), width), m]
+    edges = [*range(0, max(m - BLOCK_ALIGN + 1, 1), width), m]
     for s, e in zip(edges, edges[1:]):
         mean[s:e], v = _mean_and_whitened(post, X_star[s:e])
         variance[s:e] = post.kernel.signal_variance - np.sum(v**2, axis=0)
@@ -249,8 +266,10 @@ def _mean_and_whitened(post: GpPosterior, X_star: np.ndarray):
     """Posterior mean at ``X_star`` and ``L^-1 k(train_X, X_star)``, (n, m)."""
     k_star = cross_covariance(post.kernel, post.train_X, X_star)  # (n, m)
     mean = post.prior_mean + k_star.T @ post.alpha
-    v, _ = dtrtrs(post.chol, k_star, lower=1)
-    return mean, v
+    # k_star.T is Fortran-ordered, so dtrmm overwrites it in place with
+    # k_star.T @ L^-T, the transpose of the whitened block
+    v = dtrmm(1.0, post.chol_inv, k_star.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+    return mean, v.T
 
 
 def _lml_function(X: np.ndarray, resid: np.ndarray, family: str, nu: float | None):
@@ -266,9 +285,15 @@ def _lml_function(X: np.ndarray, resid: np.ndarray, family: str, nu: float | Non
     n, d = X.shape
     diffs = X[:, None, :] - X[None, :, :]
     D2 = (diffs * diffs).reshape(n * n, d)
+    upper = np.triu_indices(n, 1)
+    lower = upper[::-1]
 
     def lml(signal_variance, length_scales, noise_variance, with_grad=False):
-        inv_l2 = np.broadcast_to(1.0 / np.square(length_scales), d)  # iso: one shared
+        inv_l2 = 1.0 / np.square(length_scales)
+        if family == SQ_EXP_ISO:
+            # the one length-scale as a stride-0 view: matmul sums it in
+            # another order than a contiguous vector, and fits rest on it
+            inv_l2 = np.broadcast_to(inv_l2, d)
         sq = (D2 @ inv_l2).reshape(n, n)
         if with_grad:
             g, c = _correlation(family, nu, sq, slope=True)
@@ -285,8 +310,10 @@ def _lml_function(X: np.ndarray, resid: np.ndarray, family: str, nu: float | Non
             return val
         # d lml / d theta = 0.5 tr(W dK/dtheta), W = alpha alpha^T - K^-1;
         # potri fills only the lower triangle of K^-1
-        Kinv, _ = dpotri(L, lower=1)
-        W = np.outer(alpha, alpha) - Kinv - np.tril(Kinv, -1).T
+        Kinv, _ = dpotri(L, lower=1, overwrite_c=1)
+        Kinv[upper] = Kinv[lower]
+        W = np.outer(alpha, alpha)
+        W -= Kinv
         ls_grad = 0.5 * signal_variance * inv_l2 * ((W * c).ravel() @ D2)
         grad = np.empty(np.size(length_scales) + 2)
         # np.sum, not a BLAS dot: a threaded ddot over n*n entries left the next

@@ -130,7 +130,7 @@ def _as_points(X) -> np.ndarray:
         X = X.reshape(1, -1)
     elif X.ndim != 2:
         raise KernelError("points must be at most 2-dimensional arrays")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise KernelError("non-finite input coordinate")
     return X
 
@@ -167,11 +167,20 @@ def _correlation(family: str, nu: float | None, sq: np.ndarray, slope: bool = Fa
         e = np.exp(-a)
         g = (1.0 + a) * e
         return (g, 3.0 * e) if slope else g
-    a = math.sqrt(5.0) * r
-    e = np.exp(-a)
-    b = 1.0 + a
-    g = (b + a**2 / 3.0) * e
-    return (g, (5.0 / 3.0) * b * e) if slope else g
+    # (1 + a + a^2 / 3) e^-a with a = sqrt(5) r, in place to spare temporaries
+    a = np.multiply(r, math.sqrt(5.0), out=r)
+    e = np.negative(a)
+    np.exp(e, out=e)
+    g = np.square(a)
+    g /= 3.0
+    b = np.add(a, 1.0, out=a)
+    g += b
+    g *= e
+    if not slope:
+        return g
+    b *= 5.0 / 3.0
+    b *= e
+    return g, b
 
 
 def cross_covariance(spec: KernelSpec, X, Z) -> np.ndarray:
@@ -181,8 +190,9 @@ def cross_covariance(spec: KernelSpec, X, Z) -> np.ndarray:
     if X.shape[1] != Z.shape[1]:
         raise KernelError("dimension mismatch between point sets")
     spec.check_dimension(X.shape[1])
-    sq = _scaled_sqdists(spec, X, Z)
-    return spec.signal_variance * _correlation(spec.family, spec.nu, sq)
+    K = _correlation(spec.family, spec.nu, _scaled_sqdists(spec, X, Z))
+    K *= spec.signal_variance
+    return K
 
 
 def eval_kernel(spec: KernelSpec, x, x_prime) -> float:

@@ -241,11 +241,12 @@ def propose_next(
 
     step = 0.1 * space.widths
     min_step = 1e-12 * space.widths
+    axes = np.arange(space.dimension)
     for _ in range(refine_iters):
+        # trial 2j steps coordinate j up, trial 2j + 1 steps it down
         trial = np.repeat(best_x[None, :], 2 * space.dimension, axis=0)
-        for j in range(space.dimension):
-            trial[2 * j, j] = min(best_x[j] + step[j], space.upper[j])
-            trial[2 * j + 1, j] = max(best_x[j] - step[j], space.lower[j])
+        trial[2 * axes, axes] = np.minimum(best_x + step, space.upper)
+        trial[2 * axes + 1, axes] = np.maximum(best_x - step, space.lower)
         tvals = _score_points(post, acq, trial, f_best, iteration)
         ti = int(np.argmax(tvals))
         if tvals[ti] > best_v:

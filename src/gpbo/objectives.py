@@ -79,7 +79,10 @@ def recommended_space(name: str, dimension: int | None = None) -> SearchSpace:
         if dimension not in (None, 2):
             raise ObjectiveError("branin is two-dimensional")
         return SearchSpace(lo, hi)
-    d = dimension or max(len(lo), 2 if name == "rosenbrock" else 1)
+    least = 2 if name == "rosenbrock" else 1
+    d = least if dimension is None else dimension
+    if d < least:
+        raise ObjectiveError(f"{name} needs dimension >= {least}, got {d}")
     return SearchSpace(np.full(d, lo[0]), np.full(d, hi[0]))
 
 

@@ -3,7 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from gpbo import gp as gp_module
 from gpbo.gp import (
@@ -83,7 +84,7 @@ def whole_matrix_predict(post, X_star):
     """``predict``'s diagonal path as one (n, m) computation, without blocks."""
     k_star = cross_covariance(post.kernel, post.train_X, X_star)
     mean = post.prior_mean + k_star.T @ post.alpha
-    v = solve_triangular(post.chol, k_star, lower=True)
+    v = dtrmm(1.0, post.chol_inv, k_star.T, side=1, lower=1, trans_a=1).T
     variance = np.maximum(post.kernel.signal_variance - np.sum(v**2, axis=0), 0.0)
     return mean, variance
 
@@ -100,6 +101,70 @@ def dense_lml_oracle(obs, kernel, noise, prior_mean=0.0):
         - 0.5 * logdet
         - 0.5 * n * math.log(2 * math.pi)
     )
+
+
+def reference_chol(K, scale):
+    """``gp._chol_with_jitter`` as the reference LML below was written against."""
+    assert np.all(np.isfinite(K))
+    jitter = 0.0
+    max_jitter = gp_module.MAX_JITTER_SCALE * scale
+    tiny = K.shape[0] * np.finfo(float).eps * scale
+    while True:
+        L, info = dpotrf(K + jitter * np.eye(K.shape[0]) if jitter else K, lower=1)
+        if info == 0 and np.min(np.diagonal(L)) ** 2 > tiny:
+            return L
+        if jitter == 0.0:
+            jitter = gp_module.DEFAULT_JITTER_SCALE * scale
+            continue
+        if jitter >= max_jitter:
+            raise FactorizationError("reference ladder exhausted")
+        jitter = min(2.0 * jitter, max_jitter)
+
+
+def reference_correlation(family, nu, sq):
+    """``kernels._correlation(..., slope=True)`` as plain expressions."""
+    if family != "matern":
+        g = np.exp(-0.5 * sq)
+        return g, g
+    r = np.sqrt(sq)
+    if nu == 0.5:
+        g = np.exp(-r)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return g, np.where(r > 0, g / r, 0.0)
+    if nu == 1.5:
+        a = math.sqrt(3.0) * r
+        e = np.exp(-a)
+        return (1.0 + a) * e, 3.0 * e
+    a = math.sqrt(5.0) * r
+    e = np.exp(-a)
+    b = 1.0 + a
+    return (b + a**2 / 3.0) * e, (5.0 / 3.0) * b * e
+
+
+def reference_lml(X, resid, family, nu, signal_variance, length_scales, noise_variance, with_grad):
+    """The LML and its gradient as one straight-line body, with no per-design
+    index pairs, no per-family length-scale vector and no in-place kernel."""
+    n, d = X.shape
+    diffs = X[:, None, :] - X[None, :, :]
+    D2 = (diffs * diffs).reshape(n * n, d)
+    inv_l2 = np.broadcast_to(1.0 / np.square(length_scales), d)
+    sq = (D2 @ inv_l2).reshape(n, n)
+    g, c = reference_correlation(family, nu, sq)
+    K = signal_variance * g
+    K.flat[:: n + 1] += noise_variance
+    L = reference_chol(K, signal_variance)
+    alpha, _ = dpotrs(L, resid, lower=1)
+    val = float(-0.5 * resid @ alpha - np.sum(np.log(np.diagonal(L))) - 0.5 * n * gp_module.LOG_2PI)
+    if not with_grad:
+        return val
+    Kinv, _ = dpotri(L, lower=1)
+    W = np.outer(alpha, alpha) - Kinv - np.tril(Kinv, -1).T
+    ls_grad = 0.5 * signal_variance * inv_l2 * ((W * c).ravel() @ D2)
+    grad = np.empty(np.size(length_scales) + 2)
+    grad[0] = 0.5 * signal_variance * np.sum(W * g)
+    grad[1:-1] = ls_grad.sum() if family == "sq_exp_iso" else ls_grad
+    grad[-1] = 0.5 * noise_variance * np.trace(W)
+    return val, grad
 
 
 def random_instance(rng, n=None, m=4, d=None, family="sq_exp_ard", nu=None):
@@ -244,6 +309,46 @@ class TestPredict:
             assert np.array_equal(pred.mean, mean_w) and np.array_equal(pred.variance, var_w)
             check_against_oracle(post, X_star, pred, mean_o, var_o)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_variance_matches_60_digit_reference_on_ill_conditioned_designs(self, d):
+        """Noiseless Matern-5/2 designs of 25 points with cond(K) from 1e5 to
+        1e13, where the float64 dense oracle loses too many digits; candidates
+        at random and 1e-7 from training points."""
+        mp = pytest.importorskip("mpmath")
+
+        def matern52(x, z, ls):
+            r = mp.sqrt(mp.fsum(((mp.mpf(a) - mp.mpf(b)) / mp.mpf(l)) ** 2
+                                for a, b, l in zip(x, z, ls)))
+            a = mp.sqrt(5) * r
+            return (1 + a + a * a / 3) * mp.exp(-a)
+
+        rng = np.random.default_rng(83 + d)
+        X = rng.uniform(0, 1, (25, d))
+        for target in (1e5, 1e7, 1e9, 1e11, 1e13):
+            lo, hi = -10.0, 3.0  # log length-scale, bisected to reach the target
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                kernel = KernelSpec("matern", 1.0, np.full(d, math.exp(mid)), nu=2.5)
+                if np.linalg.cond(gram_matrix(kernel, X)) < target:
+                    lo = mid
+                else:
+                    hi = mid
+            kernel = KernelSpec("matern", 1.0, np.full(d, math.exp(lo)), nu=2.5)
+            assert target / 10 < np.linalg.cond(gram_matrix(kernel, X)) <= target
+            post = fit_posterior(ObservationSet(X, rng.normal(size=25)), kernel, 0.0)
+            near = X[rng.integers(0, 25, 10)] + 1e-7 * rng.choice([-1.0, 1.0], (10, d))
+            X_star = np.vstack([rng.uniform(0, 1, (10, d)), near])
+            ls = kernel.length_scales
+            with mp.workdps(60):
+                K = mp.matrix([[matern52(a, b, ls) + (post.jitter if i == j else 0)
+                                for j, b in enumerate(X)] for i, a in enumerate(X)])
+                Kinv = mp.inverse(K)
+                ref = []
+                for xs in X_star:
+                    k = mp.matrix([matern52(a, xs, ls) for a in X])
+                    ref.append(float(1 - (k.T * Kinv * k)[0]))
+            np.testing.assert_allclose(predict(post, X_star).variance, ref, atol=1e-8)
+
     def test_narrowest_blocks_match_the_oracle(self):
         # the smallest n whose blocks are BLOCK_ALIGN wide, on a cheap 1-D
         # design; past n ~ 400 OpenBLAS may split one whole-matrix call across
@@ -376,6 +481,25 @@ class TestLogMarginalLikelihood:
                 grad = grad[:-1]
             scale = np.maximum(np.abs(fd), 1e-6)
             assert np.max(np.abs(grad - fd) / scale) < 1e-5
+
+    @pytest.mark.parametrize("noise_mode", ["fitted", "fixed"])
+    @pytest.mark.parametrize("family, nu", FAMILIES)
+    def test_every_bit_matches_the_reference_body(self, family, nu, noise_mode):
+        """Fixed noise is 0, so the larger noiseless designs also take the
+        jitter ladder."""
+        rng = np.random.default_rng(71)
+        for n in (1, 2, 20, 60):
+            for _ in range(3):
+                obs, kernel, noise, _ = random_instance(rng, n=n, family=family, nu=nu)
+                noise = noise if noise_mode == "fitted" else 0.0
+                resid = obs.y - float(np.mean(obs.y))
+                lml = gp_module._lml_function(obs.X, resid, family, nu)
+                args = (kernel.signal_variance, kernel.length_scales, noise)
+                ref_args = (obs.X, resid, family, nu, *args)
+                assert lml(*args) == reference_lml(*ref_args, with_grad=False)
+                val, grad = lml(*args, with_grad=True)
+                ref_val, ref_grad = reference_lml(*ref_args, with_grad=True)
+                assert val == ref_val and np.array_equal(grad, ref_grad)
 
     @pytest.mark.parametrize("family, nu", FAMILIES)
     def test_gradient_is_half_trace_of_w_times_gram_grad_hyper(self, family, nu):

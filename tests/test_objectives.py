@@ -70,6 +70,13 @@ class TestBuiltins:
         s = recommended_space("sphere", dimension=3)
         assert s.dimension == 3
 
+    @pytest.mark.parametrize(
+        "name, dimension", [("sphere", 0), ("sphere", -2), ("rosenbrock", 1), ("rosenbrock", 0)]
+    )
+    def test_recommended_space_rejects_impossible_dimensions(self, name, dimension):
+        with pytest.raises(ObjectiveError, match="dimension"):
+            recommended_space(name, dimension)
+
 
 class TestRandomSearch:
     def test_trace_length_and_monotone_incumbent(self):
