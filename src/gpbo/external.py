@@ -12,8 +12,10 @@ a distinct exception so the CLI can map them to exit codes.
 from __future__ import annotations
 
 import json
+import os
 import select
 import subprocess
+import time
 
 import numpy as np
 
@@ -76,6 +78,7 @@ class ExternalObjective:
         self.spec = spec
         self.evaluations = 0
         self._proc: subprocess.Popen | None = None
+        self._pending = b""  # bytes the worker sent past its last full line
 
     def __call__(self, x) -> float:
         request = json.dumps({"x": [float(v) for v in np.asarray(x).ravel()]})
@@ -113,6 +116,7 @@ class ExternalObjective:
 
     def _ensure_worker(self, it: int) -> subprocess.Popen:
         if self._proc is None:
+            self._pending = b""
             try:
                 self._proc = subprocess.Popen(
                     list(self.spec.command),
@@ -132,15 +136,24 @@ class ExternalObjective:
             proc.stdin.flush()
         except (BrokenPipeError, OSError):
             raise WorkerCrashError(f"worker pipe closed at iteration {it}", it) from None
-        ready, _, _ = select.select([proc.stdout], [], [], self.spec.timeout)
-        if not ready:
-            raise WorkerTimeoutError(
-                f"worker exceeded {self.spec.timeout}s at iteration {it}", it
-            )
-        line = proc.stdout.readline()
-        if line == "":
-            raise WorkerCrashError(f"worker closed stdout at iteration {it}", it)
-        return _parse_response(line.strip(), it)
+        # one deadline for the whole line: a worker that sends part of it and
+        # stalls must time out too, so read the raw fd, never a blocking readline
+        deadline = time.monotonic() + self.spec.timeout
+        fd = proc.stdout.fileno()
+        while b"\n" not in self._pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                raise WorkerTimeoutError(
+                    f"worker exceeded {self.spec.timeout}s at iteration {it}", it
+                )
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                if not self._pending:
+                    raise WorkerCrashError(f"worker closed stdout at iteration {it}", it)
+                break  # a last line without its newline is still a response
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return _parse_response(line.decode().strip(), it)
 
     def close(self) -> None:
         if self._proc is not None:

@@ -368,20 +368,23 @@ def optimize_hypers(
     seed: int = 0,
     nu: float | None = None,
     fixed_noise: float | None = None,
-    extra_starts: list[tuple[KernelSpec, float]] | None = None,
+    warm_start: tuple[KernelSpec, float] | None = None,
 ) -> tuple[KernelSpec, float]:
     """Multi-start maximization of the log marginal likelihood.
 
     Returns the best ``(KernelSpec, noise_variance)`` found.  The search
     runs over ``KernelSpec.log_hypers()`` followed by ``log noise_variance``;
     when ``fixed_noise`` is given the noise variance is held there and
-    excluded from the search.  ``extra_starts`` adds warm-start points to the
-    log-uniform restarts.  Deterministic given ``seed``.
+    excluded from the search.  ``n_restarts`` counts every L-BFGS start, each
+    drawn log-uniformly inside ``bounds``.  A ``warm_start`` (a previous fit,
+    clipped to ``bounds``) takes the place of the last draw; if no start
+    factorizes, the draw it displaced runs after all.  Raises
+    ``FactorizationError`` when that fails too.  Deterministic given ``seed``.
     """
     if len(obs) < 2:
         raise GpError("optimize_hypers needs at least two observations")
-    if n_restarts < 0 or not (n_restarts or extra_starts):
-        raise GpError("optimize_hypers needs n_restarts >= 1 or an extra start")
+    if n_restarts < 1:
+        raise GpError("optimize_hypers needs n_restarts >= 1")
     fit_noise = fixed_noise is None
     bounds = bounds or HyperBounds()
     ones = np.ones(1 if family == SQ_EXP_ISO else obs.dimension)
@@ -406,16 +409,7 @@ def optimize_hypers(
             return 1e25, np.zeros_like(z)
         return -val, -(grad if fit_noise else grad[:-1])
 
-    rng = np.random.default_rng(seed)
-    starts = [rng.uniform(lo, hi) for _ in range(n_restarts)]
-    for spec, noise in extra_starts or []:
-        z = spec.log_hypers()
-        if fit_noise:
-            z = np.append(z, math.log(max(noise, bounds.noise_variance[0])))
-        starts.append(np.clip(z, lo, hi))
-
-    best_val, best_z = math.inf, None
-    for z0 in starts:
+    def fit_from(z0: np.ndarray) -> tuple[float, np.ndarray]:
         res = minimize(
             neg_lml,
             z0,
@@ -424,9 +418,20 @@ def optimize_hypers(
             bounds=list(zip(lo, hi)),
             options={"maxiter": LBFGS_MAXITER},
         )
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_val, best_z = res.fun, res.x
-    if best_z is None or best_val >= 1e25:
+        return (res.fun if np.isfinite(res.fun) else math.inf), res.x
+
+    rng = np.random.default_rng(seed)
+    starts = [rng.uniform(lo, hi) for _ in range(n_restarts - (warm_start is not None))]
+    if warm_start is not None:
+        spec, noise = warm_start
+        z = spec.log_hypers()
+        if fit_noise:
+            z = np.append(z, math.log(max(noise, bounds.noise_variance[0])))
+        starts.append(np.clip(z, lo, hi))
+    best_val, best_z = min(map(fit_from, starts), key=lambda fit: fit[0])
+    if best_val >= 1e25 and warm_start is not None:
+        best_val, best_z = fit_from(rng.uniform(lo, hi))
+    if best_val >= 1e25:
         raise FactorizationError("all hyperparameter restarts failed to factorize")
     noise = math.exp(best_z[-1]) if fit_noise else fixed_noise
     return template.with_log_hypers(best_z[:n_kernel]), noise

@@ -25,7 +25,6 @@ from . import gp
 from ._json import JsonCodec
 from .acquisition import AcquisitionSpec, score
 from .gp import (
-    FactorizationError,
     GpPosterior,
     HyperBounds,
     ObservationSet,
@@ -140,7 +139,7 @@ class BoConfig(JsonCodec, error=LoopError):
             raise LoopError("candidate_count must be at least 1")
         if self.refine_iters < 0:
             raise LoopError("refine_iters must be nonnegative")
-        if self.hyper_restarts < 1:  # the first refit has no warm start
+        if self.hyper_restarts < 1:
             raise LoopError("hyper_restarts must be at least 1")
 
     def resolved_n_init(self, dimension: int) -> int:
@@ -329,13 +328,12 @@ def run_bo(objective, space: SearchSpace, config: BoConfig, trace_writer=None) -
     ``objective`` maps a point (native units) to a finite float.  The first
     ``n_init`` points are scrambled Halton; every later one refits the GP on
     all points seen so far and maximizes the acquisition.  Unless
-    ``config.fixed_kernel`` is set, each refit fits the hyperparameters from
-    ``config.hyper_restarts`` L-BFGS starts: the first refit draws them all
-    log-uniformly, and every later one replaces one of them with the
-    previous refit's fit.  A later refit that fails to factorize from those
-    starts is rerun with all ``config.hyper_restarts`` random starts beside
-    the previous fit.  ``trace_writer`` and :class:`ObjectiveFailure` behave
-    as in :func:`drive`.
+    ``config.fixed_kernel`` is set, each refit fits the hyperparameters by
+    one :func:`~gpbo.gp.optimize_hypers` call with ``config.hyper_restarts``
+    L-BFGS starts and the previous refit's fit as its warm start; the first
+    refit has none.  A refit that fails to factorize raises
+    :class:`~gpbo.gp.FactorizationError`.  ``trace_writer`` and
+    :class:`ObjectiveFailure` behave as in :func:`drive`.
     """
     d = space.dimension
     if config.fixed_kernel is not None:
@@ -366,25 +364,16 @@ def run_bo(objective, space: SearchSpace, config: BoConfig, trace_writer=None) -
             fixed_noise = (
                 None if fit_noise else float(config.noise_variance) / y_sd**2
             )
-            fit_args = dict(
+            kernel, noise = optimize_hypers(
+                obs_std,
                 family=config.kernel_family,
                 bounds=config.hyper_bounds,
+                n_restarts=config.hyper_restarts,
                 seed=_child_seed(config.seed, 2 * it + 1),
                 nu=config.nu if config.kernel_family == MATERN else None,
                 fixed_noise=fixed_noise,
-                extra_starts=[prev_fit] if prev_fit else None,
+                warm_start=prev_fit,
             )
-            # the warm start takes one random start's place
-            n_restarts = config.hyper_restarts - (prev_fit is not None)
-            try:
-                kernel, noise = optimize_hypers(obs_std, n_restarts=n_restarts, **fit_args)
-            except FactorizationError:
-                if n_restarts == config.hyper_restarts:
-                    raise
-                # one more random start may still find a factorizable fit
-                kernel, noise = optimize_hypers(
-                    obs_std, n_restarts=config.hyper_restarts, **fit_args
-                )
             prev_fit = (kernel, noise)
         post = fit_posterior(obs_std, kernel, noise, prior_mean=0.0)
 

@@ -104,6 +104,8 @@ class ObjectiveSpec(JsonCodec, error=ObjectiveError):
     def __post_init__(self):
         if self.command is not None:
             object.__setattr__(self, "command", tuple(self.command))
+            if not all(isinstance(part, str) for part in self.command):
+                raise ObjectiveError(f"command elements must be strings, got {self.command!r}")
         if self.kind == "builtin":
             builtin_function(self.name)
         elif self.kind == "external":

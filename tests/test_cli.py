@@ -381,6 +381,7 @@ class TestSample:
         ("sample", "n_draws", None, ["--draws", "0"]),
         ("sample", "n_draws", None, ["--draws", "-1"]),
         ("baseline", "objective.command", "python3 demos/sphere_worker.py", []),
+        ("baseline", "objective.command", [1, 2], []),
         ("run", "space.lower", "abc", []),
         ("run", "bo.hyper_restarts", 0, []),
         ("run", "bo.noise_variance", math.nan, []),

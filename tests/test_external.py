@@ -1,4 +1,5 @@
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,30 @@ class TestPersistentWorker:
             with pytest.raises(WorkerTimeoutError) as err:
                 obj([0.5])
             assert err.value.iteration == 0
+
+    def test_partial_line_then_stall_times_out(self, tmp_path):
+        """The timeout bounds the whole line, not only its first bytes."""
+        worker = write_worker(
+            tmp_path,
+            "for line in sys.stdin:\n"
+            "    print('{\"y\": 1', end='', flush=True)\n"
+            "    time.sleep(30)\n",
+        )
+        with ExternalObjective(worker_spec(worker, timeout=0.5)) as obj:
+            start = time.monotonic()
+            with pytest.raises(WorkerTimeoutError) as err:
+                obj([0.5])
+            assert err.value.iteration == 0
+            assert time.monotonic() - start < 5.0
+
+    def test_last_line_without_newline_before_exit_is_a_response(self, tmp_path):
+        worker = write_worker(
+            tmp_path,
+            "sys.stdin.readline()\n"
+            "print(json.dumps({'y': 2.0}), end='', flush=True)\n",
+        )
+        with ExternalObjective(worker_spec(worker)) as obj:
+            assert obj([0.5]) == 2.0
 
     def test_worker_exit_is_crash_error(self, tmp_path):
         worker = write_worker(tmp_path, "sys.exit(1)\n")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.optimize import OptimizeResult
 
 from gpbo import gp as gp_module
 from gpbo.gp import (
@@ -624,19 +625,106 @@ class TestOptimizeHypers:
                 obs,
                 family="sq_exp_ard",
                 bounds=bounds,
-                n_restarts=0,
+                n_restarts=1,
                 fixed_noise=None if fit_noise else noise0,
-                extra_starts=[(kernel0, noise0)],
+                warm_start=(kernel0, noise0),
             )
             start = log_marginal_likelihood(obs, kernel0, noise0)
             assert log_marginal_likelihood(obs, kernel, noise_hat) >= start
 
-    @pytest.mark.parametrize("n_restarts, warm", [(0, False), (-1, False), (-1, True)])
+    @pytest.mark.parametrize(
+        "n_restarts, warm", [(0, False), (-1, False), (0, True), (-1, True)]
+    )
     def test_no_start_at_all_is_an_input_error(self, n_restarts, warm):
         obs, kernel0, noise0, _ = random_instance(np.random.default_rng(61), n=6, d=2)
-        extra = [(kernel0, noise0)] if warm else None
+        warm_start = (kernel0, noise0) if warm else None
         with pytest.raises(GpError, match="n_restarts"):
-            optimize_hypers(obs, family="sq_exp_ard", n_restarts=n_restarts, extra_starts=extra)
+            optimize_hypers(
+                obs, family="sq_exp_ard", n_restarts=n_restarts, warm_start=warm_start
+            )
+
+    # which L-BFGS starts optimize_hypers runs, and in what order
+
+    BOUNDS = HyperBounds((1e-2, 1e2), (1e-1, 1e1), (1e-6, 1.0))
+    WARM = (KernelSpec("sq_exp_ard", 2.0, [0.5, 3.0]), 0.01)  # inside BOUNDS
+    SEED = 5
+
+    def obs(self):
+        return random_instance(np.random.default_rng(73), n=10, d=2)[0]
+
+    def draws(self, k):
+        """The first ``k`` log-uniform starts for seed ``SEED``."""
+        b = self.BOUNDS
+        pairs = [b.signal_variance, b.length_scale, b.length_scale, b.noise_variance]
+        lo = np.array([math.log(a) for a, _ in pairs])
+        hi = np.array([math.log(b) for _, b in pairs])
+        rng = np.random.default_rng(self.SEED)
+        return [rng.uniform(lo, hi) for _ in range(k)]
+
+    def warm_z(self):
+        spec, noise = self.WARM
+        return np.append(spec.log_hypers(), math.log(noise))
+
+    def record_starts(self, monkeypatch, fail=lambda i: False):
+        """Stub ``gp.minimize``; returns the ``(z0, result)`` of every run.
+
+        Run ``i`` (from 0) ends at the failed-factorization sentinel when
+        ``fail(i)`` holds, and runs L-BFGS otherwise.
+        """
+        runs = []
+        real = gp_module.minimize
+
+        def stub(fun, x0, **kw):
+            failed = fail(len(runs))
+            res = OptimizeResult(fun=1e25, x=x0.copy()) if failed else real(fun, x0, **kw)
+            runs.append((x0.copy(), res))
+            return res
+
+        monkeypatch.setattr(gp_module, "minimize", stub)
+        return runs
+
+    def fit(self, n_restarts, warm):
+        return optimize_hypers(
+            self.obs(),
+            family="sq_exp_ard",
+            bounds=self.BOUNDS,
+            n_restarts=n_restarts,
+            seed=self.SEED,
+            warm_start=self.WARM if warm else None,
+        )
+
+    @pytest.mark.parametrize("n_restarts", [1, 3])
+    def test_warm_start_takes_the_last_draws_place(self, monkeypatch, n_restarts):
+        runs = self.record_starts(monkeypatch)
+        self.fit(n_restarts, warm=True)
+        expected = self.draws(n_restarts - 1) + [self.warm_z()]
+        assert len(runs) == n_restarts
+        for (z0, _), want in zip(runs, expected):
+            assert np.array_equal(z0, want)
+
+    @pytest.mark.parametrize("n_restarts", [1, 3])
+    def test_displaced_draw_runs_when_every_start_fails(self, monkeypatch, n_restarts):
+        runs = self.record_starts(monkeypatch, fail=lambda i: i < n_restarts)
+        kernel, noise = self.fit(n_restarts, warm=True)
+        assert len(runs) == n_restarts + 1
+        z0, res = runs[-1]
+        assert np.array_equal(z0, self.draws(n_restarts)[-1])
+        template = KernelSpec("sq_exp_ard", length_scales=np.ones(2))
+        assert kernel.to_json_dict() == template.with_log_hypers(res.x[:3]).to_json_dict()
+        assert noise == math.exp(res.x[-1])
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("n_restarts", [1, 3])
+    def test_every_start_failing_raises(self, monkeypatch, n_restarts, warm):
+        """Each start runs once: ``n_restarts`` of them, and with a warm start
+        the draw it displaced."""
+        runs = self.record_starts(monkeypatch, fail=lambda i: True)
+        with pytest.raises(FactorizationError):
+            self.fit(n_restarts, warm)
+        assert len(runs) == n_restarts + warm
+        random_starts = [z0 for z0, _ in runs if not np.array_equal(z0, self.warm_z())]
+        for z0, want in zip(random_starts, self.draws(n_restarts), strict=True):
+            assert np.array_equal(z0, want)
 
 
 class TestSampling:

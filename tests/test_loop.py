@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from gpbo import gp, loop
 from gpbo.acquisition import AcquisitionSpec, expected_improvement
@@ -222,21 +223,17 @@ class TestRunBo:
         assert trace.best_f < 0.05
 
 
-def _record_fits(monkeypatch, fail=lambda call: False):
-    """Wrap ``loop.optimize_hypers``; returns the list of its calls' arguments.
-
-    A call for which ``fail(call)`` holds raises ``FactorizationError``
-    instead of fitting.
-    """
+def _record_fits(monkeypatch):
+    """Wrap ``loop.optimize_hypers``; returns the list of its calls' arguments,
+    each with the call's return value under ``"fit"``."""
     calls = []
     real = loop.optimize_hypers
 
     def wrapped(obs, **kw):
         call = dict(kw, n=len(obs))
         calls.append(call)
-        if fail(call):
-            raise gp.FactorizationError("forced")
-        return real(obs, **kw)
+        call["fit"] = real(obs, **kw)
+        return call["fit"]
 
     monkeypatch.setattr(loop, "optimize_hypers", wrapped)
     return calls
@@ -250,16 +247,15 @@ class TestRefitSchedule:
                        hyper_restarts=hyper_restarts, **kw)
         return run_bo(sphere, SearchSpace([-2, -2], [2, 2]), cfg)
 
-    def test_warm_start_takes_one_random_starts_place_after_the_first_refit(self, monkeypatch):
+    def test_every_refit_gets_all_restarts_and_the_previous_fit(self, monkeypatch):
         calls = _record_fits(monkeypatch)
         trace = self.run()
         assert len(trace) == self.BUDGET
         assert [c["n"] for c in calls] == list(range(self.N_INIT, self.BUDGET))
-        assert calls[0]["n_restarts"] == self.RESTARTS
-        assert calls[0]["extra_starts"] is None
-        for c in calls[1:]:
-            assert c["n_restarts"] == self.RESTARTS - 1
-            assert len(c["extra_starts"]) == 1
+        assert all(c["n_restarts"] == self.RESTARTS for c in calls)
+        assert calls[0]["warm_start"] is None
+        for prev, c in zip(calls, calls[1:]):
+            assert all(a is b for a, b in zip(c["warm_start"], prev["fit"], strict=True))
         # the restart seed depends on the iteration alone, as before
         seeds = [c["seed"] for c in calls]
         assert seeds == [loop._child_seed(7, 2 * it + 1) for it in range(self.N_INIT, self.BUDGET)]
@@ -270,23 +266,18 @@ class TestRefitSchedule:
         assert calls == []
 
     @pytest.mark.parametrize("restarts", [1, 3])
-    def test_failed_warm_start_refit_falls_back_to_random_starts(self, monkeypatch, restarts):
-        calls = _record_fits(monkeypatch, fail=lambda c: c["n_restarts"] == restarts - 1)
-        trace = self.run(hyper_restarts=restarts)
-        assert len(trace) == self.BUDGET
-        assert all(r.hypers is not None for r in trace.records[self.N_INIT:])
-        warm = [i for i, c in enumerate(calls) if c["n_restarts"] == restarts - 1]
-        assert len(warm) == self.BUDGET - self.N_INIT - 1
-        for i in warm:  # each failure is retried at once, with the same seed
-            retry = calls[i + 1]
-            assert retry["n_restarts"] == restarts
-            assert retry["n"] == calls[i]["n"] and retry["seed"] == calls[i]["seed"]
+    def test_refit_with_every_start_failing_stops_the_run(self, monkeypatch, restarts):
+        calls = _record_fits(monkeypatch)
+        starts = []
 
-    def test_failed_first_refit_is_not_retried(self, monkeypatch):
-        calls = _record_fits(monkeypatch, fail=lambda c: c["n_restarts"] > 0)
+        def failing_minimize(fun, x0, **kw):
+            starts.append(x0)
+            return OptimizeResult(fun=1e25, x=x0)
+
+        monkeypatch.setattr(gp, "minimize", failing_minimize)
         with pytest.raises(gp.FactorizationError):
-            self.run()
-        assert len(calls) == 1
+            self.run(hyper_restarts=restarts)
+        assert len(calls) == 1 and len(starts) == restarts
 
 
 def _run_bo(objective, space, budget, seed, direction=gp.MINIMIZE, trace_writer=None):
