@@ -143,6 +143,11 @@ class ExternalObjective:
         while b"\n" not in self._pending:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                # a stalled worker gets no grace period: kill it now, so that
+                # close() (or the next evaluation) does not wait on it
+                self._proc, self._pending = None, b""
+                with proc:  # closes its pipes and reaps it
+                    proc.kill()
                 raise WorkerTimeoutError(
                     f"worker exceeded {self.spec.timeout}s at iteration {it}", it
                 )
@@ -158,15 +163,15 @@ class ExternalObjective:
     def close(self) -> None:
         if self._proc is not None:
             proc, self._proc = self._proc, None
-            try:
-                proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+            with proc:  # closes its pipes and reaps it
+                try:
+                    proc.stdin.close()
+                except OSError:
+                    pass
+                try:
+                    proc.wait(timeout=5)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
 
     def __enter__(self):
         return self

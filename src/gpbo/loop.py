@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import gp
 from ._json import JsonCodec
@@ -195,12 +194,51 @@ def incumbent(obs: ObservationSet) -> tuple[np.ndarray, float]:
     return obs.X[idx].copy(), float(obs.y[idx])
 
 
+def _first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
 def halton_points(space: SearchSpace, n: int, seed) -> np.ndarray:
-    """n scrambled-Halton points inside the box; deterministic given seed."""
+    """n scrambled-Halton points inside the box; deterministic given seed.
+
+    Axis k is the van der Corput sequence in the k-th prime base, scrambled
+    by Owen's random digit permutations (A. B. Owen 2017, "A randomized
+    Halton algorithm in R", arXiv:1706.02808).  The output has the bits of
+    scipy 1.17's ``qmc.Halton(d, scramble=True, seed=seed)`` scaled to the
+    box: the same ``Generator.shuffle`` draws from
+    ``np.random.default_rng(seed)`` and the same digit-by-digit sums.
+    """
     if n < 1:
         raise LoopError("need at least one point")
-    sampler = qmc.Halton(d=space.dimension, scramble=True, seed=seed)
-    return qmc.scale(sampler.random(n), space.lower, space.upper)
+    rng = np.random.default_rng(seed)
+    U = np.empty((space.dimension, n))
+    for row, b in zip(U, _first_primes(space.dimension)):
+        # one permutation per digit j whose weight b**-(j + 1) is above 2**-54
+        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, 0)
+        for perm in perms:
+            rng.shuffle(perm)
+        # point i is the sum of perms[j, digit_j(i)] * b2r, with b2r = 1 / b
+        # divided by b after each digit, added in digit order j = 0, 1, ...;
+        # tabulate the sums over the digits that vary below n, level by level
+        # (the top level only up to the digit that n reaches), then add the
+        # digits that are 0 for every i < n as scalars
+        table, size, b2r, j = np.zeros(1), 1, 1.0 / b, 0
+        while size < n:
+            digits = perms[j, : -(-n // size)] * b2r
+            table = (table[None, :] + digits[:, None]).ravel()
+            size, b2r, j = size * b, b2r / b, j + 1
+        row[:] = table[:n]
+        # as Python floats: a numpy scalar product costs more than the add
+        for digit0 in perms[j:, 0].tolist():
+            row += digit0 * b2r
+            b2r /= b
+    return U.T * (space.upper - space.lower) + space.lower
 
 
 def _score_points(

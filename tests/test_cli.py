@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -411,3 +413,36 @@ def test_config_mistake_exits_2_before_any_output(
     assert main([command, "--config", "cfg.json", *flags]) == EXIT_CONFIG
     assert key.rsplit(".", 1)[-1] in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+IMPORT_GUARD = """
+import json, sys
+import gpbo, gpbo.cli
+from gpbo.loop import BoConfig, run_bo
+from gpbo.objectives import branin, recommended_space
+
+run_bo(branin, recommended_space("branin"), BoConfig(budget=6, seed=0, n_init=5))
+cfg = {
+    "space": {"lower": [0.0], "upper": [1.0]},
+    "objective": {"kind": "builtin", "name": "sphere"},
+    "sample": {"kernel": %r, "n_points": 8, "n_draws": 2},
+}
+with open("cfg.json", "w") as fh:
+    json.dump(cfg, fh)
+assert gpbo.cli.main(["sample", "--config", "cfg.json", "--out", "d.csv"]) == 0
+assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
+""" % (SAMPLE_KERNEL,)
+
+
+def test_a_run_and_a_sample_never_import_scipy_stats(tmp_path):
+    """scipy.stats costs about 0.6 s and 22 MB at import; no path may pull it in."""
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -93,6 +93,22 @@ class TestPersistentWorker:
             assert err.value.iteration == 0
             assert time.monotonic() - start < 5.0
 
+    def test_timed_out_worker_is_killed_at_once(self, tmp_path):
+        worker = write_worker(
+            tmp_path,
+            "for line in sys.stdin:\n"
+            "    time.sleep(30)\n",
+        )
+        obj = ExternalObjective(worker_spec(worker, timeout=0.5))
+        proc = obj._ensure_worker(0)
+        start = time.monotonic()
+        with pytest.raises(WorkerTimeoutError):
+            obj([0.5])
+        assert time.monotonic() - start < 0.5 + 1.0
+        obj.close()
+        assert proc.poll() is not None
+        assert time.monotonic() - start < 0.5 + 1.0
+
     def test_last_line_without_newline_before_exit_is_a_response(self, tmp_path):
         worker = write_worker(
             tmp_path,

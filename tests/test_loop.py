@@ -89,6 +89,53 @@ class TestIncumbent:
             incumbent(ObservationSet(np.empty((0, 1)), np.empty(0)))
 
 
+#: halton_points(unit_cube(3), 5, seed=0), pinned bit for bit
+HALTON_SEED0_D3_N5 = [
+    ["0x1.9600b82ecb948p-4", "0x1.b9a95a7ee723ap-5", "0x1.33feaf0d8d01bp-2"],
+    ["0x1.32c01705d9729p-1", "0x1.70efeafd43c79p-1", "0x1.66cc2453934dap-1"],
+    ["0x1.65802e0bb2e52p-2", "0x1.8c8a80a53239bp-2", "0x1.9cc7890300d35p-4"],
+    ["0x1.b2c01705d9729p-1", "0x1.51f88f834801cp-3", "0x1.0065bded2ce74p-1"],
+    ["0x1.cb005c1765ca4p-3", "0x1.a9d379362755bp-1", "0x1.cd328ab9f9b40p-1"],
+]
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+class TestHaltonPoints:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_bitwise_equal_to_scipy(self, d):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        lower = np.linspace(-3.0, 1.0, d)
+        upper = lower + np.linspace(0.5, 7.0, d)
+        space = SearchSpace(lower, upper)
+        b = PRIMES[d - 1]  # the largest base
+        sizes = {1, 2, 2048, 6144}
+        for k in (1, 2, 3):
+            if b**k <= 6144:
+                sizes |= {b**k - 1, b**k, b**k + 1}
+        for n in sorted(sizes):
+            for seed in (0, 1, 2**32 + 5, 2**64 - 1):
+                ours = halton_points(space, n, seed)
+                ref = qmc.scale(qmc.Halton(d, scramble=True, seed=seed).random(n), lower, upper)
+                assert ours.tobytes() == ref.tobytes(), (n, seed)
+
+    def test_golden_values(self):
+        expected = np.array([[float.fromhex(v) for v in row] for row in HALTON_SEED0_D3_N5])
+        assert halton_points(unit_cube(3), 5, 0).tobytes() == expected.tobytes()
+
+    def test_inside_the_box_with_one_point_per_stratum(self):
+        space = SearchSpace([-2.0, 10.0], [3.0, 11.0])
+        X = halton_points(space, 9, 4)
+        assert space.contains(X.min(axis=0)) and space.contains(X.max(axis=0))
+        # 9 = 3**2 points put one point in each ninth of the base-3 axis
+        cells = np.floor(space.to_unit(X)[:, 1] * 9).astype(int)
+        assert sorted(cells) == list(range(9))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_a_point(self, n):
+        with pytest.raises(LoopError):
+            halton_points(unit_cube(2), n, 0)
+
+
 class TestUpdate:
     """``ObservationSet.append``: the persistent, copying update."""
 
