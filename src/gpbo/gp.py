@@ -54,10 +54,11 @@ DEFAULT_JITTER_SCALE = 1e-12
 MAX_JITTER_SCALE = 1e-4
 #: L-BFGS iteration cap per hyperparameter restart
 LBFGS_MAXITER = 200
-#: entries in one (n, width) block of ``predict``, at least ``BLOCK_ALIGN``
-#: wide: ~128 KB of float64, so its temporaries stay in L2 cache (with 32 K,
-#: predict over 2048 points at d = 2 ran 1.2-1.5x slower at n = 40 and 60;
-#: with 8 K, over 6144 points at d = 6, no faster at any n up to 200)
+#: entries in one (n, width) block of ``predict``: ~128 KB of float64 up to
+#: n = 85, n * 192 * 8 B from n = 86 on, where the ``BLOCK_ALIGN`` minimum
+#: width takes over (307 KB at n = 200).  With 32 K, predict over 2048
+#: points at d = 2 ran 1.2-1.5x slower at n = 40 and 60; with 8 K, over 6144
+#: points at d = 6, no faster at any n up to 200
 PREDICT_BLOCK = 16384
 #: ``predict`` blocks start at multiples of this, and a remainder of fewer
 #: than this many test points joins the block before it.  Within one call,
@@ -244,28 +245,38 @@ def predict(post: GpPosterior, X_star, include_noise: bool = False) -> Predictio
 
     The variance is ``k(x*, x*) - |L^-1 k(train_X, x*)|^2``, with
     ``L^-1 k`` formed by one multiply with ``post.chol_inv`` per block.
-    ``include_noise`` adds the observation noise to the variance.  The test points are taken in blocks
-    of about ``PREDICT_BLOCK / n`` (at least ``BLOCK_ALIGN``), so no
-    temporary outgrows the cache.
+    ``include_noise`` adds the observation noise to the variance.  The test
+    points are taken in blocks of about ``PREDICT_BLOCK / n`` but at least
+    ``BLOCK_ALIGN``, so a block holds n * 192 entries at n >= 86.  Every
+    block is evaluated in place in one workspace per call, three rows of
+    n * (widest block) floats, and writes its mean and variance straight
+    into the outputs, so no block allocates an (n, width) temporary.
     """
     X_star = _test_points(post, X_star)
-    m = X_star.shape[0]
+    m, n = X_star.shape[0], len(post.alpha)
     mean, variance = np.empty(m), np.empty(m)
-    width = max(PREDICT_BLOCK // (BLOCK_ALIGN * len(post.alpha)), 1) * BLOCK_ALIGN
+    width = max(PREDICT_BLOCK // (BLOCK_ALIGN * n), 1) * BLOCK_ALIGN
     edges = [*range(0, max(m - BLOCK_ALIGN + 1, 1), width), m]
+    work = np.empty((3, n * min(m, width + BLOCK_ALIGN - 1)))
     for s, e in zip(edges, edges[1:]):
-        mean[s:e], v = _mean_and_whitened(post, X_star[s:e])
-        variance[s:e] = post.kernel.signal_variance - np.sum(v**2, axis=0)
+        block = work[:, : n * (e - s)].reshape(3, n, e - s)
+        _, v = _mean_and_whitened(post, X_star[s:e], block[0], block[1:], mean[s:e])
+        np.sum(np.square(v, out=v), axis=0, out=variance[s:e])
+    np.subtract(post.kernel.signal_variance, variance, out=variance)
     np.maximum(variance, 0.0, out=variance)
     if include_noise:
         variance += post.noise_variance
     return Prediction(mean=mean, variance=variance)
 
 
-def _mean_and_whitened(post: GpPosterior, X_star: np.ndarray):
-    """Posterior mean at ``X_star`` and ``L^-1 k(train_X, X_star)``, (n, m)."""
-    k_star = cross_covariance(post.kernel, post.train_X, X_star)  # (n, m)
-    mean = post.prior_mean + k_star.T @ post.alpha
+def _mean_and_whitened(
+    post: GpPosterior, X_star: np.ndarray, out=None, scratch=(None, None), mean=None
+):
+    """Posterior mean at ``X_star`` and ``L^-1 k(train_X, X_star)``, (n, m),
+    formed in ``mean`` and ``out`` when given (see ``cross_covariance``)."""
+    k_star = cross_covariance(post.kernel, post.train_X, X_star, out, scratch)  # (n, m)
+    mean = np.matmul(k_star.T, post.alpha, out=mean)
+    mean += post.prior_mean
     # k_star.T is Fortran-ordered, so dtrmm overwrites it in place with
     # k_star.T @ L^-T, the transpose of the whitened block
     v = dtrmm(1.0, post.chol_inv, k_star.T, side=1, lower=1, trans_a=1, overwrite_b=1)

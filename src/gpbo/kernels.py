@@ -135,62 +135,85 @@ def _as_points(X) -> np.ndarray:
     return X
 
 
-def _scaled_sqdists(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def _scaled_sqdists(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out=None) -> np.ndarray:
     """Pairwise squared distances of X vs Z after dividing by length-scales.
 
     cdist forms per-pair coordinate differences directly; the usual
     norm-expansion trick cancels catastrophically at tiny distances, which
     the Matern families amplify through the square root.
     """
-    return cdist(X / spec.length_scales, Z / spec.length_scales, "sqeuclidean")
+    return cdist(X / spec.length_scales, Z / spec.length_scales, "sqeuclidean", out=out)
 
 
-def _correlation(family: str, nu: float | None, sq: np.ndarray, slope: bool = False):
+def _correlation(
+    family: str, nu: float | None, sq: np.ndarray, slope: bool = False, scratch=(None, None)
+):
     """Closed-form unit-variance correlation ``g`` at scaled squared distance ``sq``.
+
+    Evaluated in place: without ``slope``, ``g`` overwrites ``sq`` and is
+    returned.  The Matern forms put their exponential and square into
+    ``scratch``, two more arrays shaped like ``sq``, or into fresh arrays
+    where its entries are None.
 
     With ``slope``, returns ``(g, c)`` with ``c = -2 dg/d(sq)``, so that
     ``d k / d log l_j = signal_variance * c * u_j^2`` for the scaled
     per-dimension squared difference ``u_j^2``.
     """
     if family != MATERN:
-        g = np.exp(-0.5 * sq)
+        sq *= -0.5
+        g = np.exp(sq, out=sq)
         return (g, g) if slope else g
-    r = np.sqrt(sq)
+    r = np.sqrt(sq, out=sq)
     if nu == 0.5:
-        g = np.exp(-r)
+        # the slope needs r after g is formed
+        g = np.negative(r, out=scratch[0] if slope else r)
+        np.exp(g, out=g)
         if not slope:
             return g
         with np.errstate(invalid="ignore", divide="ignore"):
             return g, np.where(r > 0, g / r, 0.0)
+    # a, 1 + a and then g reuse r's storage, which is sq's
     if nu == 1.5:
-        a = math.sqrt(3.0) * r
-        e = np.exp(-a)
-        g = (1.0 + a) * e
+        a = r
+        a *= math.sqrt(3.0)
+        e = np.negative(a, out=scratch[0])
+        np.exp(e, out=e)
+        g = a
+        g += 1.0
+        g *= e
         return (g, 3.0 * e) if slope else g
-    # (1 + a + a^2 / 3) e^-a with a = sqrt(5) r, in place to spare temporaries
-    a = np.multiply(r, math.sqrt(5.0), out=r)
-    e = np.negative(a)
+    # (1 + a + a^2 / 3) e^-a with a = sqrt(5) r
+    a = r
+    a *= math.sqrt(5.0)
+    e = np.negative(a, out=scratch[0])
     np.exp(e, out=e)
-    g = np.square(a)
-    g /= 3.0
-    b = np.add(a, 1.0, out=a)
-    g += b
+    t = np.square(a, out=scratch[1])
+    t /= 3.0
+    b = a
+    b += 1.0
+    if slope:
+        c = b * (5.0 / 3.0)
+        c *= e
+    g = b
+    g += t
     g *= e
-    if not slope:
-        return g
-    b *= 5.0 / 3.0
-    b *= e
-    return g, b
+    return (g, c) if slope else g
 
 
-def cross_covariance(spec: KernelSpec, X, Z) -> np.ndarray:
-    """Covariance matrix k(X, Z) of shape (n, m)."""
+def cross_covariance(spec: KernelSpec, X, Z, out=None, scratch=(None, None)) -> np.ndarray:
+    """Covariance matrix k(X, Z) of shape (n, m).
+
+    With ``out``, a C-contiguous (n, m) float array, the matrix is formed in
+    it and returned; ``scratch``, two more such arrays, spares the Matern
+    forms their temporaries too (see ``_correlation``).
+    """
     X = _as_points(X)
     Z = _as_points(Z)
     if X.shape[1] != Z.shape[1]:
         raise KernelError("dimension mismatch between point sets")
     spec.check_dimension(X.shape[1])
-    K = _correlation(spec.family, spec.nu, _scaled_sqdists(spec, X, Z))
+    sq = _scaled_sqdists(spec, X, Z, out)
+    K = _correlation(spec.family, spec.nu, sq, scratch=scratch)
     K *= spec.signal_variance
     return K
 

@@ -8,6 +8,7 @@ readable partial trace behind.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 
@@ -34,8 +35,15 @@ class TraceWriter:
             + [f"x_{j}" for j in range(dimension)]
             + ["y", "inc_f", "acq_value", "wall_ms"]
         )
-        self._writer.writerow(header)
-        self._fh.flush()
+        try:
+            self._writer.writerow(header)
+            self._fh.flush()
+        except OSError:
+            # no writer is returned to close the file, so close it here; its
+            # own flush of the unwritten header fails again and is dropped
+            with contextlib.suppress(OSError):
+                self._fh.close()
+            raise
 
     def write(self, rec: TraceRecord) -> None:
         row = (

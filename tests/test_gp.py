@@ -1,8 +1,16 @@
+import ctypes
+import glob
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import OptimizeResult
@@ -22,6 +30,7 @@ from gpbo.gp import (
     sample_prior,
 )
 from gpbo.kernels import (
+    KernelError,
     KernelSpec,
     cross_covariance,
     eval_kernel,
@@ -74,6 +83,26 @@ def block_boundary_cases(rng, obs, kernel, noise):
     return [(X_star[:m], mean_o[:m], var_o[:m]) for m in (1, b - 1, b, b + 1, 3 * b + 7)]
 
 
+@pytest.fixture
+def one_blas_thread():
+    """scipy's OpenBLAS on one thread for the test.  ``predict``'s blocks give
+    the bits of one whole-matrix call only there: on more threads OpenBLAS
+    splits a whole-matrix trmm wider than 384 points across them, and each
+    sums its own last points in another order.  Another BLAS build keeps
+    its thread count."""
+    libs = glob.glob(str(Path(scipy.__file__).parents[1] / "scipy.libs" / "libscipy_openblas*"))
+    if not libs:
+        yield
+        return
+    lib = ctypes.CDLL(libs[0])
+    threads = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(threads)
+
+
 def check_against_oracle(post, X_star, pred, mean_o, var_o):
     np.testing.assert_allclose(pred.mean, mean_o, atol=1e-8)
     np.testing.assert_allclose(pred.variance, var_o, atol=1e-8)
@@ -88,6 +117,26 @@ def whole_matrix_predict(post, X_star):
     v = dtrmm(1.0, post.chol_inv, k_star.T, side=1, lower=1, trans_a=1).T
     variance = np.maximum(post.kernel.signal_variance - np.sum(v**2, axis=0), 0.0)
     return mean, variance
+
+
+# minor page faults per predict call over 6144 candidates at n = 200, d = 6,
+# read in a fresh process so no earlier test has moved the allocator's state
+PAGE_FAULTS = """
+import resource
+import numpy as np
+from gpbo.gp import ObservationSet, fit_posterior, predict
+from gpbo.kernels import KernelSpec
+rng = np.random.default_rng(47)
+kernel = KernelSpec("matern", 1.0, np.full(6, 0.5), nu=2.5)
+post = fit_posterior(ObservationSet(rng.uniform(0, 1, (200, 6)), rng.normal(size=200)), kernel, 1e-6)
+X_star = rng.uniform(0, 1, (6144, 6))
+for _ in range(3):
+    predict(post, X_star)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    predict(post, X_star)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
 
 
 def dense_lml_oracle(obs, kernel, noise, prior_mean=0.0):
@@ -299,10 +348,11 @@ class TestPredict:
             v_after = predict(post2, X_star).variance
             assert np.all(v_after <= v_before + 1e-8)
 
+    @pytest.mark.parametrize("family, nu", FAMILIES)
     @pytest.mark.parametrize("n, d", [(1, 3), (7, 2), (200, 6)])
-    def test_blocks_match_one_whole_matrix_call(self, n, d):
+    def test_blocks_match_one_whole_matrix_call(self, one_blas_thread, n, d, family, nu):
         rng = np.random.default_rng(37 + n)
-        obs, kernel, noise, _ = random_instance(rng, n=n, d=d, family="matern", nu=2.5)
+        obs, kernel, noise, _ = random_instance(rng, n=n, d=d, family=family, nu=nu)
         post = fit_posterior(obs, kernel, noise, prior_mean=0.0)
         for X_star, mean_o, var_o in block_boundary_cases(rng, obs, kernel, noise):
             pred = predict(post, X_star)
@@ -375,6 +425,32 @@ class TestPredict:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="counts page faults under glibc's allocator",
+    )
+    def test_blocks_fault_in_no_fresh_pages(self):
+        """At n = 200 a block's (n, 192) arrays are 307 KB, above glibc's
+        initial 128 KB mmap threshold; allocated afresh per block they cost
+        about 340 minor page faults per call, in one workspace per call none."""
+        result = subprocess.run(
+            [sys.executable, "-c", PAGE_FAULTS],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) <= 64
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_test_point_raises(self, bad):
+        post = fit_posterior(ObservationSet([[0.0, 0.0], [1.0, 0.5]], [1.0, -1.0]), ISO, 0.1)
+        X_star = np.zeros((2 * block_width(2) + 5, 2))
+        X_star[-1, 1] = bad  # in the last block
+        with pytest.raises(KernelError):
+            predict(post, X_star)
 
     def test_representer_property(self):
         rng = np.random.default_rng(31)
@@ -757,6 +833,12 @@ class TestSampling:
         np.testing.assert_allclose(mean, mean_o, atol=1e-8)
         np.testing.assert_allclose(cov, cov_o, atol=1e-8)
         assert np.array_equal(cov, cov.T)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_test_point_raises(self, bad):
+        post = fit_posterior(ObservationSet([[0.0], [1.0]], [1.0, -1.0]), ISO, 0.1)
+        with pytest.raises(KernelError):
+            sample_posterior(post, [[0.5], [bad], [2.0]], 3, seed=0)
 
     def test_indefinite_covariance_raises(self):
         with pytest.raises(FactorizationError):
