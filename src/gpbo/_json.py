@@ -29,7 +29,7 @@ class JsonCodec:
     @classmethod
     def from_json_dict(cls, obj):
         """Build from a parsed JSON object; absent keys take the field defaults."""
-        return _from_json(cls, obj, None)
+        return _from_json(cls, obj)
 
 
 def _to_json(value):
@@ -55,10 +55,9 @@ def _admits(t, value) -> bool:
     return value is not None
 
 
-def _from_json(cls, obj, base):
-    """``cls`` from ``obj``, absent keys taken from ``base`` if it is one.  A nested
-    object is read against the enclosing field's value or default, so a
-    partial one keeps the enclosing dataclass's defaults, not its own."""
+def _from_json(cls, obj):
+    """``cls`` from ``obj`` through its constructor, so absent keys take the
+    field defaults; a nested object is built the same way by its own class."""
     if not isinstance(obj, dict):
         raise cls._json_error(f"{cls.__name__} must be a JSON object, got {type(obj).__name__}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -74,15 +73,13 @@ def _from_json(cls, obj, base):
             raise cls._json_error(f"{cls.__name__}.{name} must be {f.type}, not {value!r}")
         nested = [t for t in options if isinstance(t, type) and issubclass(t, JsonCodec)]
         if nested and value is not None:
-            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-            inner = default if base is None else getattr(base, name)
             try:
-                value = _from_json(nested[0], value, inner)
+                value = _from_json(nested[0], value)
             except (TypeError, ValueError) as e:
                 raise cls._json_error(f"{name}: {e}") from e
         kwargs[name] = value
-    try:  # a base of None, or MISSING for a required nested field, means from scratch
-        return dataclasses.replace(base, **kwargs) if isinstance(base, cls) else cls(**kwargs)
+    try:
+        return cls(**kwargs)
     except (TypeError, ValueError) as e:
         if isinstance(e, cls._json_error):
             raise

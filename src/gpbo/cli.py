@@ -54,8 +54,8 @@ class ConfigError(ValueError):
     pass
 
 
-# input errors that only surface once the run starts: a fixed kernel or a
-# builtin objective that does not fit the space, or a bad trace to sample from
+# input errors raised after the config is read: a builtin objective or a fixed
+# kernel that does not fit the space, or a bad trace to sample from
 _CONFIG_ERRORS = (ConfigError, LoopError, ObjectiveError, KernelError, TraceFormatError)
 
 
@@ -108,10 +108,12 @@ def _load_config(path: str) -> Config:
 
 
 def _space_from_config(cfg: Config, objective: ObjectiveSpec | None) -> SearchSpace:
+    if objective is not None and objective.kind == "builtin":
+        # a builtin that does not fit the config's space fails here, before any output
+        box = recommended_space(objective.name, cfg.space and cfg.space.dimension)
+        return cfg.space or box
     if cfg.space is not None:
         return cfg.space
-    if objective is not None and objective.kind == "builtin":
-        return recommended_space(objective.name)
     raise ConfigError("config needs a 'space' section (or a builtin objective)")
 
 

@@ -127,15 +127,14 @@ class ObservationSet:
 
 @dataclass(frozen=True)
 class GpPosterior:
-    """Frozen fitted model: the lower Cholesky factor ``chol`` of
-    K + noise I + jitter I, its inverse ``chol_inv``, and the dual weights."""
+    """Frozen fitted model: the inverse ``chol_inv`` of the lower Cholesky
+    factor of K + noise I + jitter I, and the dual weights."""
 
     kernel: KernelSpec
     noise_variance: float
     prior_mean: float
     train_X: np.ndarray
-    chol: np.ndarray  # lower triangular
-    chol_inv: np.ndarray  # its inverse, lower triangular
+    chol_inv: np.ndarray  # lower triangular
     alpha: np.ndarray
     jitter: float
 
@@ -221,7 +220,6 @@ def fit_posterior(
         noise_variance=float(noise_variance),
         prior_mean=m0,
         train_X=obs.X,
-        chol=L,
         chol_inv=L_inv,
         alpha=alpha,
         jitter=jitter,
@@ -357,11 +355,13 @@ def log_marginal_likelihood(
 
 @dataclass(frozen=True)
 class HyperBounds(JsonCodec, error=GpError):
-    """Box bounds (natural scale) for hyperparameter fitting."""
+    """Box bounds (natural scale) for hyperparameter fitting.  The defaults suit
+    standardized y on unit-cube inputs, as ``run_bo`` fits; a direct caller on
+    raw data passes its own bounds."""
 
-    signal_variance: tuple[float, float] = (1e-4, 1e4)
-    length_scale: tuple[float, float] = (1e-3, 1e3)
-    noise_variance: tuple[float, float] = (1e-8, 1e2)
+    signal_variance: tuple[float, float] = (1e-2, 1e2)
+    length_scale: tuple[float, float] = (1e-2, 1e1)
+    noise_variance: tuple[float, float] = (1e-8, 1.0)
 
     def __post_init__(self):
         for f in fields(self):

@@ -106,13 +106,7 @@ class BoConfig(JsonCodec, error=LoopError):
     acquisition: AcquisitionSpec = field(default_factory=AcquisitionSpec)
     candidate_count: int | None = None  # default 1024 * d
     refine_iters: int = 32
-    hyper_bounds: HyperBounds = field(
-        default_factory=lambda: HyperBounds(
-            signal_variance=(1e-2, 1e2),
-            length_scale=(1e-2, 1e1),
-            noise_variance=(1e-8, 1.0),
-        )
-    )
+    hyper_bounds: HyperBounds = field(default_factory=HyperBounds)
     hyper_restarts: int = 2
     fixed_kernel: KernelSpec | None = None  # skip fitting; unit-cube units
 

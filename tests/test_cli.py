@@ -1,14 +1,17 @@
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gpbo import cli
+from gpbo._json import JsonCodec
 from gpbo.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OBJECTIVE, EXIT_OK, main
 from gpbo.trace_io import read_trace
 
@@ -413,6 +416,35 @@ def test_config_mistake_exits_2_before_any_output(
     assert main([command, "--config", "cfg.json", *flags]) == EXIT_CONFIG
     assert key.rsplit(".", 1)[-1] in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["run", "baseline"])
+@pytest.mark.parametrize("name, dimension", [("branin", 3), ("rosenbrock", 1)])
+def test_builtin_that_does_not_fit_the_space_exits_2_before_any_output(
+    tmp_path, monkeypatch, capsys, command, name, dimension
+):
+    space = {"lower": [0.0] * dimension, "upper": [1.0] * dimension}
+    write_config(tmp_path, space=space, objective={"name": name},
+                 output={"trace": "t.csv", "summary": "s.json"})
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", "cfg.json"]) == EXIT_CONFIG
+    assert name in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_nested_section_defaults_are_their_own_class_defaults():
+    """A nested section is built by its own class from its own defaults, so a
+    field's default_factory must build exactly those defaults too."""
+    checked = set()
+    for cls in JsonCodec.__subclasses__():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            options = typing.get_args(hints[f.name]) or (hints[f.name],)
+            nested = [t for t in options if isinstance(t, type) and issubclass(t, JsonCodec)]
+            if nested and f.default_factory is not dataclasses.MISSING:
+                assert f.default_factory() == nested[0](), f"{cls.__name__}.{f.name}"
+                checked.add(f"{cls.__name__}.{f.name}")
+    assert checked >= {"BoConfig.acquisition", "BoConfig.hyper_bounds", "Config.output"}
 
 
 IMPORT_GUARD = """
