@@ -84,11 +84,15 @@ def probability_of_improvement(mu, sigma, f_best, xi: float = 0.0):
     mu = np.asarray(mu, dtype=float)
     sigma = _check_sigma(sigma)
     _check_finite(mu, sigma, f_best, xi)
+    p = _pi(mu, sigma, f_best, xi)
+    return p if p.ndim else float(p)
+
+
+def _pi(mu, sigma, f_best, xi):
     gap = mu - f_best - xi
     safe_sigma = np.where(sigma > 0, sigma, 1.0)
     with np.errstate(over="ignore"):  # gap/sigma may overflow; ndtr(inf) is fine
-        p = np.where(sigma > 0, ndtr(gap / safe_sigma), (gap > 0).astype(float))
-    return p if p.ndim else float(p)
+        return np.where(sigma > 0, ndtr(gap / safe_sigma), (gap > 0).astype(float))
 
 
 def expected_improvement(mu, sigma, f_best, xi: float = 0.0):
@@ -101,14 +105,18 @@ def expected_improvement(mu, sigma, f_best, xi: float = 0.0):
     mu = np.asarray(mu, dtype=float)
     sigma = _check_sigma(sigma)
     _check_finite(mu, sigma, f_best, xi)
+    ei = _ei(mu, sigma, f_best, xi)
+    return ei if ei.ndim else float(ei)
+
+
+def _ei(mu, sigma, f_best, xi):
     gap = mu - f_best - xi
     safe_sigma = np.where(sigma > 0, sigma, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # extreme z is benign
         z = gap / safe_sigma
         ei = gap * ndtr(z) + sigma * INV_SQRT_2PI * np.exp(-0.5 * z**2)
         ei = np.where(sigma > 0, ei, np.maximum(gap, 0.0))
-    ei = np.maximum(ei, 0.0)
-    return ei if ei.ndim else float(ei)
+    return np.maximum(ei, 0.0)
 
 
 def confidence_bound(mu, sigma, upsilon: float, direction: str = "lower"):
@@ -121,10 +129,14 @@ def confidence_bound(mu, sigma, upsilon: float, direction: str = "lower"):
     if direction == "lower":
         out = mu - upsilon * sigma
     elif direction == "upper":
-        out = mu + upsilon * sigma
+        out = _ucb(mu, sigma, upsilon)
     else:
         raise AcquisitionError(f"direction must be 'lower' or 'upper', got {direction!r}")
     return out if out.ndim else float(out)
+
+
+def _ucb(mu, sigma, upsilon):
+    return mu + upsilon * sigma
 
 
 def score(spec: AcquisitionSpec, mu, sigma, f_best, iteration: int = 0):
@@ -135,12 +147,24 @@ def score(spec: AcquisitionSpec, mu, sigma, f_best, iteration: int = 0):
     has been folded into the internal maximization convention both reduce to
     the upper bound mu + upsilon * sigma.
     """
+    mu = np.asarray(mu, dtype=float)
+    sigma = _check_sigma(sigma)
+    _check_finite(mu, sigma)
+    out = _scorer(spec, f_best, iteration)(mu, sigma)
+    return out if out.ndim else float(out)
+
+
+def _scorer(spec: AcquisitionSpec, f_best: float, iteration: int = 0):
+    """``score`` as a function of ``(mu, sigma)`` arrays alone, for many calls
+    on one incumbent.  PI and EI check ``f_best`` and the margin here, once;
+    the caller checks that each call's mu and sigma are finite, sigma >= 0
+    (the spec checked ``upsilon``)."""
+    if spec.family not in (PI, EI):
+        return lambda mu, sigma: _ucb(mu, sigma, spec.upsilon)
     xi = spec.xi_at(iteration)
-    if spec.family == PI:
-        return probability_of_improvement(mu, sigma, f_best, xi)
-    if spec.family == EI:
-        return expected_improvement(mu, sigma, f_best, xi)
-    return confidence_bound(mu, sigma, spec.upsilon, "upper")
+    _check_finite(f_best, xi)
+    core = _pi if spec.family == PI else _ei
+    return lambda mu, sigma: core(mu, sigma, f_best, xi)
 
 
 def ei_monte_carlo_oracle(

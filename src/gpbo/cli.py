@@ -241,6 +241,13 @@ def _cmd_sample(args) -> int:
     cfg = _load_config(args.config)
     if cfg.sample is None:
         raise ConfigError("config needs a 'sample' section with a kernel")
+    # `bo` is unused here but read as `run` reads it.  Flags may give `run`
+    # the budget and seed, so absent or null ones take stand-ins any n_init
+    # admits
+    n_init = cfg.bo.get("n_init")
+    stand_ins = {"budget": n_init if type(n_init) is int and n_init > 1 else 1, "seed": 0}
+    given = {k: v for k, v in cfg.bo.items() if v is not None or k not in stand_ins}
+    BoConfig.from_json_dict({**stand_ins, **given})
     flags = {k: v for k, v in (("n_draws", args.draws), ("seed", args.seed)) if v is not None}
     sample = replace(cfg.sample, **flags)
     space = _space_from_config(cfg, None)

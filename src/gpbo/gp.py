@@ -24,18 +24,20 @@ and one factorization per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtri, dtrtrs
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, minimize
 
 from ._json import JsonCodec
 from .kernels import (
     SQ_EXP_ISO,
+    KernelError,
     KernelSpec,
     _correlation,
+    _scaled_covariance,
     cross_covariance,
     gram_grad_hyper,  # noqa: F401 -- a call site that perfbench/spans.py traces by name
     gram_matrix,
@@ -128,7 +130,8 @@ class ObservationSet:
 @dataclass(frozen=True)
 class GpPosterior:
     """Frozen fitted model: the inverse ``chol_inv`` of the lower Cholesky
-    factor of K + noise I + jitter I, and the dual weights."""
+    factor of K + noise I + jitter I, and the dual weights.  ``scaled_X``,
+    ``train_X`` divided by the length-scales, is formed once, read-only."""
 
     kernel: KernelSpec
     noise_variance: float
@@ -137,6 +140,12 @@ class GpPosterior:
     chol_inv: np.ndarray  # lower triangular
     alpha: np.ndarray
     jitter: float
+    scaled_X: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scaled_X = self.train_X / self.kernel.length_scales
+        scaled_X.flags.writeable = False
+        object.__setattr__(self, "scaled_X", scaled_X)
 
     @property
     def dimension(self) -> int:
@@ -227,14 +236,19 @@ def fit_posterior(
 
 
 def _test_points(post: GpPosterior, X_star) -> np.ndarray:
-    """``X_star`` as a nonempty (m, d) array: a 1-D one is m points if d = 1, else one."""
+    """``X_star`` as a nonempty, finite (m, d) array: a 1-D one is m points if
+    d = 1, else one."""
     X_star = np.asarray(X_star, dtype=float)
     if X_star.ndim == 1:
         X_star = X_star.reshape(-1, 1) if post.dimension == 1 else X_star.reshape(1, -1)
+    if X_star.ndim != 2:
+        raise KernelError("points must be at most 2-dimensional arrays")
     if X_star.shape[0] == 0:
         raise GpError("need at least one test point")
     if X_star.shape[1] != post.dimension:
         raise GpError("test points have wrong dimension")
+    if not np.isfinite(X_star).all():
+        raise KernelError("non-finite input coordinate")
     return X_star
 
 
@@ -251,28 +265,56 @@ def predict(post: GpPosterior, X_star, include_noise: bool = False) -> Predictio
     into the outputs, so no block allocates an (n, width) temporary.
     """
     X_star = _test_points(post, X_star)
-    m, n = X_star.shape[0], len(post.alpha)
-    mean, variance = np.empty(m), np.empty(m)
-    width = max(PREDICT_BLOCK // (BLOCK_ALIGN * n), 1) * BLOCK_ALIGN
-    edges = [*range(0, max(m - BLOCK_ALIGN + 1, 1), width), m]
-    work = np.empty((3, n * min(m, width + BLOCK_ALIGN - 1)))
-    for s, e in zip(edges, edges[1:]):
-        block = work[:, : n * (e - s)].reshape(3, n, e - s)
-        _, v = _mean_and_whitened(post, X_star[s:e], block[0], block[1:], mean[s:e])
-        np.sum(np.square(v, out=v), axis=0, out=variance[s:e])
-    np.subtract(post.kernel.signal_variance, variance, out=variance)
-    np.maximum(variance, 0.0, out=variance)
+    mean, variance = _LatentBlocks(post, X_star.shape[0])(X_star)
     if include_noise:
         variance += post.noise_variance
     return Prediction(mean=mean, variance=variance)
 
 
+class _LatentBlocks:
+    """``predict``'s arithmetic for m test points at a time on one posterior.
+
+    Owns its buffers, so a caller that scores many small sets (the pattern
+    search) pays for them once: the workspace, the test points divided by
+    the length-scales, the mean and variance rows, and each block's views
+    of them.
+    """
+
+    def __init__(self, post: GpPosterior, m: int):
+        n = len(post.alpha)
+        width = max(PREDICT_BLOCK // (BLOCK_ALIGN * n), 1) * BLOCK_ALIGN
+        edges = [*range(0, max(m - BLOCK_ALIGN + 1, 1), width), m]
+        work = np.empty((3, n * min(m, width + BLOCK_ALIGN - 1)))
+        self.post = post
+        self.scaled = np.empty((m, post.dimension))
+        self.out = np.empty((2, m))
+        self.blocks = []
+        for s, e in zip(edges, edges[1:]):
+            block = work[:, : n * (e - s)].reshape(3, n, e - s)
+            views = (self.scaled[s:e], block[0], (block[1], block[2]))
+            self.blocks.append(views + (self.out[0, s:e], self.out[1, s:e]))
+
+    def __call__(self, X_star: np.ndarray) -> np.ndarray:
+        """Rows of mean and latent variance at finite (m, d) ``X_star``,
+        written over the previous call's."""
+        post = self.post
+        np.divide(X_star, post.kernel.length_scales, out=self.scaled)
+        for Z, k_star, scratch, block_mean, block_variance in self.blocks:
+            _, v = _mean_and_whitened(post, Z, k_star, scratch, block_mean)
+            np.add.reduce(np.square(v, out=v), axis=0, out=block_variance)
+        variance = self.out[1]
+        np.subtract(post.kernel.signal_variance, variance, out=variance)
+        np.maximum(variance, 0.0, out=variance)
+        return self.out
+
+
 def _mean_and_whitened(
-    post: GpPosterior, X_star: np.ndarray, out=None, scratch=(None, None), mean=None
+    post: GpPosterior, Z: np.ndarray, out=None, scratch=(None, None), mean=None
 ):
-    """Posterior mean at ``X_star`` and ``L^-1 k(train_X, X_star)``, (n, m),
-    formed in ``mean`` and ``out`` when given (see ``cross_covariance``)."""
-    k_star = cross_covariance(post.kernel, post.train_X, X_star, out, scratch)  # (n, m)
+    """Posterior mean and ``L^-1 k(train_X, X_star)``, (n, m), at test points
+    ``Z = X_star / length_scales``, formed in ``mean`` and ``out`` when given
+    (see ``_scaled_covariance``)."""
+    k_star = _scaled_covariance(post.kernel, post.scaled_X, Z, out, scratch)  # (n, m)
     mean = np.matmul(k_star.T, post.alpha, out=mean)
     mean += post.prior_mean
     # k_star.T is Fortran-ordered, so dtrmm overwrites it in place with
@@ -294,8 +336,10 @@ def _lml_function(X: np.ndarray, resid: np.ndarray, family: str, nu: float | Non
     n, d = X.shape
     diffs = X[:, None, :] - X[None, :, :]
     D2 = (diffs * diffs).reshape(n * n, d)
-    upper = np.triu_indices(n, 1)
-    lower = upper[::-1]
+    # potri's K^-1 is Fortran-ordered, so the flat view of its transpose
+    # holds entry (i, j) at i + j * n
+    i, j = np.triu_indices(n, 1)
+    upper, lower = i + j * n, j + i * n
 
     def lml(signal_variance, length_scales, noise_variance, with_grad=False):
         inv_l2 = 1.0 / np.square(length_scales)
@@ -309,27 +353,26 @@ def _lml_function(X: np.ndarray, resid: np.ndarray, family: str, nu: float | Non
         else:
             g = _correlation(family, nu, sq)
         K = signal_variance * g
-        K.flat[:: n + 1] += noise_variance
+        K.reshape(-1)[:: n + 1] += noise_variance
         L, _ = _chol_with_jitter(K, signal_variance)
         alpha, _ = dpotrs(L, resid, lower=1)
-        val = float(
-            -0.5 * resid @ alpha - np.sum(np.log(np.diagonal(L))) - 0.5 * n * LOG_2PI
-        )
+        val = float(-0.5 * resid @ alpha - np.log(L.diagonal()).sum() - 0.5 * n * LOG_2PI)
         if not with_grad:
             return val
         # d lml / d theta = 0.5 tr(W dK/dtheta), W = alpha alpha^T - K^-1;
         # potri fills only the lower triangle of K^-1
         Kinv, _ = dpotri(L, lower=1, overwrite_c=1)
-        Kinv[upper] = Kinv[lower]
-        W = np.outer(alpha, alpha)
+        flat = Kinv.T.reshape(-1)
+        flat[upper] = flat[lower]
+        W = alpha[:, None] * alpha
         W -= Kinv
         ls_grad = 0.5 * signal_variance * inv_l2 * ((W * c).ravel() @ D2)
         grad = np.empty(np.size(length_scales) + 2)
-        # np.sum, not a BLAS dot: a threaded ddot over n*n entries left the next
+        # a sum, not a BLAS dot: a threaded ddot over n*n entries left the next
         # factorization several times slower on a 2-core host at n = 200
-        grad[0] = 0.5 * signal_variance * np.sum(W * g)
+        grad[0] = 0.5 * signal_variance * (W * g).sum()
         grad[1:-1] = ls_grad.sum() if family == SQ_EXP_ISO else ls_grad
-        grad[-1] = 0.5 * noise_variance * np.trace(W)  # dK/d log(noise) = noise * I
+        grad[-1] = 0.5 * noise_variance * W.trace()  # dK/d log(noise) = noise * I
         return val, grad
 
     return lml
@@ -409,6 +452,7 @@ def optimize_hypers(
     # math.log, not np.log: the two can differ in the last bit
     lo = np.array([math.log(a) for a, _ in pairs])
     hi = np.array([math.log(b) for _, b in pairs])
+    box = Bounds(lo, hi)
 
     lml = _lml_function(obs.X, obs.y - m0, family, template.nu)
 
@@ -426,7 +470,7 @@ def optimize_hypers(
             z0,
             jac=True,
             method="L-BFGS-B",
-            bounds=list(zip(lo, hi)),
+            bounds=box,
             options={"maxiter": LBFGS_MAXITER},
         )
         return (res.fun if np.isfinite(res.fun) else math.inf), res.x
@@ -480,6 +524,6 @@ def sample_posterior(post: GpPosterior, X, n_draws: int, seed: int) -> np.ndarra
     """Draws from the fitted posterior at points X, whose latent covariance is
     ``k(X, X) - v^T v`` for ``v = L^-1 k(train_X, X)``, symmetrized."""
     X = _test_points(post, X)
-    mean, v = _mean_and_whitened(post, X)
+    mean, v = _mean_and_whitened(post, X / post.kernel.length_scales)
     cov = cross_covariance(post.kernel, X, X) - v.T @ v
     return sample_function(mean, 0.5 * (cov + cov.T), n_draws, seed)

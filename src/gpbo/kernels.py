@@ -135,16 +135,6 @@ def _as_points(X) -> np.ndarray:
     return X
 
 
-def _scaled_sqdists(spec: KernelSpec, X: np.ndarray, Z: np.ndarray, out=None) -> np.ndarray:
-    """Pairwise squared distances of X vs Z after dividing by length-scales.
-
-    cdist forms per-pair coordinate differences directly; the usual
-    norm-expansion trick cancels catastrophically at tiny distances, which
-    the Matern families amplify through the square root.
-    """
-    return cdist(X / spec.length_scales, Z / spec.length_scales, "sqeuclidean", out=out)
-
-
 def _correlation(
     family: str, nu: float | None, sq: np.ndarray, slope: bool = False, scratch=(None, None)
 ):
@@ -200,19 +190,29 @@ def _correlation(
     return (g, c) if slope else g
 
 
-def cross_covariance(spec: KernelSpec, X, Z, out=None, scratch=(None, None)) -> np.ndarray:
-    """Covariance matrix k(X, Z) of shape (n, m).
-
-    With ``out``, a C-contiguous (n, m) float array, the matrix is formed in
-    it and returned; ``scratch``, two more such arrays, spares the Matern
-    forms their temporaries too (see ``_correlation``).
-    """
+def cross_covariance(spec: KernelSpec, X, Z) -> np.ndarray:
+    """Covariance matrix k(X, Z) of shape (n, m)."""
     X = _as_points(X)
     Z = _as_points(Z)
     if X.shape[1] != Z.shape[1]:
         raise KernelError("dimension mismatch between point sets")
     spec.check_dimension(X.shape[1])
-    sq = _scaled_sqdists(spec, X, Z, out)
+    return _scaled_covariance(spec, X / spec.length_scales, Z / spec.length_scales)
+
+
+def _scaled_covariance(spec: KernelSpec, X_scaled, Z_scaled, out=None, scratch=(None, None)):
+    """``cross_covariance`` of points already divided by the length-scales.
+
+    Takes finite (n, d) and (m, d) float arrays as they are, unchecked.
+    With ``out``, a C-contiguous (n, m) float array, the matrix is formed in
+    it and returned; ``scratch``, two more such arrays, spares the Matern
+    forms their temporaries too (see ``_correlation``).
+
+    cdist forms per-pair coordinate differences directly; the usual
+    norm-expansion trick cancels catastrophically at tiny distances, which
+    the Matern families amplify through the square root.
+    """
+    sq = cdist(X_scaled, Z_scaled, "sqeuclidean", out=out)
     K = _correlation(spec.family, spec.nu, sq, scratch=scratch)
     K *= spec.signal_variance
     return K

@@ -22,11 +22,12 @@ import numpy as np
 
 from . import gp
 from ._json import JsonCodec
-from .acquisition import AcquisitionSpec, score
+from .acquisition import AcquisitionError, AcquisitionSpec, _scorer, score
 from .gp import (
     GpPosterior,
     HyperBounds,
     ObservationSet,
+    _LatentBlocks,
     fit_posterior,
     optimize_hypers,
     predict,
@@ -244,6 +245,39 @@ def _score_points(
     ).reshape(-1)
 
 
+def _pattern_trials(
+    post: GpPosterior, acq: AcquisitionSpec, space: SearchSpace, f_best: float, iteration: int
+):
+    """Scorer of the pattern search's 2d trial points around a point ``x``.
+
+    ``trials(x, step)`` returns the trial array, where trial 2j steps
+    coordinate j of ``x`` up by ``step[j]`` and trial 2j + 1 steps it down,
+    clamped to the box, and the trials' scores.  It runs ``predict``'s and
+    ``score``'s arithmetic, with the same bits, in buffers made once per
+    proposal; the next call overwrites the trial array.
+    """
+    d = space.dimension
+    trial = np.empty((2 * d, d))
+    flat = trial.reshape(-1)
+    up = np.arange(d) * (2 * d + 1)  # flat index of trial 2j's coordinate j
+    down = up + d  # and of trial 2j + 1's
+    latent = _LatentBlocks(post, 2 * d)
+    mean, sigma = latent.out
+    acquisition = _scorer(acq, f_best, iteration)
+
+    def trials(x: np.ndarray, step: np.ndarray):
+        trial[...] = x
+        flat[up] = np.minimum(x + step, space.upper)
+        flat[down] = np.maximum(x - step, space.lower)
+        latent(trial)
+        np.sqrt(sigma, out=sigma)
+        if not np.isfinite(latent.out).all():
+            raise AcquisitionError("non-finite acquisition input")
+        return trial, acquisition(mean, sigma)
+
+    return trials
+
+
 def propose_next(
     post: GpPosterior,
     acq: AcquisitionSpec,
@@ -270,16 +304,12 @@ def propose_next(
     best_i = int(np.argmax(vals))
     best_x, best_v = cands[best_i].copy(), float(vals[best_i])
 
+    trials = _pattern_trials(post, acq, space, f_best, iteration)
     step = 0.1 * space.widths
     min_step = 1e-12 * space.widths
-    axes = np.arange(space.dimension)
     for _ in range(refine_iters):
-        # trial 2j steps coordinate j up, trial 2j + 1 steps it down
-        trial = np.repeat(best_x[None, :], 2 * space.dimension, axis=0)
-        trial[2 * axes, axes] = np.minimum(best_x + step, space.upper)
-        trial[2 * axes + 1, axes] = np.maximum(best_x - step, space.lower)
-        tvals = _score_points(post, acq, trial, f_best, iteration)
-        ti = int(np.argmax(tvals))
+        trial, tvals = trials(best_x, step)
+        ti = int(tvals.argmax())
         if tvals[ti] > best_v:
             best_x, best_v = trial[ti].copy(), float(tvals[ti])
         else:

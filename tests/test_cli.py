@@ -349,6 +349,29 @@ class TestSample:
         assert main(["sample", "--config", str(cfg)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
+        "bo",
+        [
+            {"n_init": 5, "acquisition": {"family": "pi"}},
+            {"budget": None, "seed": None},
+            {"budget": 10, "seed": 3},
+        ],
+        ids=["no-budget-or-seed", "null-budget-and-seed", "complete"],
+    )
+    def test_valid_bo_section_leaves_the_samples_unchanged(self, tmp_path, capsys, bo):
+        written = []
+        for name, section in (("without", None), ("with", bo)):
+            cfg = json.loads(write_config(tmp_path, sample={"kernel": SAMPLE_KERNEL}).read_text())
+            del cfg["bo"]
+            if section is not None:
+                cfg["bo"] = section
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / f"{name}.csv"
+            assert main(["sample", "--config", str(path), "--out", str(out)]) == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize(
         "rows",
         [
             "iter,x_0,y,inc_f,acq_value,wall_ms\n",
@@ -397,6 +420,8 @@ class TestSample:
         ("baseline", "seed", None, ["--seed", "-1"]),
         ("sample", "sample.seed", -1, []),
         ("sample", "seed", None, ["--seed", "-1"]),
+        ("sample", "bo.bogus", 1, []),
+        ("sample", "bo.budget", "ten", []),
     ],
 )
 def test_config_mistake_exits_2_before_any_output(

@@ -1,5 +1,3 @@
-import ctypes
-import glob
 import math
 import os
 import platform
@@ -10,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import OptimizeResult
@@ -81,26 +78,6 @@ def block_boundary_cases(rng, obs, kernel, noise):
     ]
     mean_o, var_o = (np.concatenate(parts) for parts in zip(*chunks))
     return [(X_star[:m], mean_o[:m], var_o[:m]) for m in (1, b - 1, b, b + 1, 3 * b + 7)]
-
-
-@pytest.fixture
-def one_blas_thread():
-    """scipy's OpenBLAS on one thread for the test.  ``predict``'s blocks give
-    the bits of one whole-matrix call only there: on more threads OpenBLAS
-    splits a whole-matrix trmm wider than 384 points across them, and each
-    sums its own last points in another order.  Another BLAS build keeps
-    its thread count."""
-    libs = glob.glob(str(Path(scipy.__file__).parents[1] / "scipy.libs" / "libscipy_openblas*"))
-    if not libs:
-        yield
-        return
-    lib = ctypes.CDLL(libs[0])
-    threads = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads(threads)
 
 
 def check_against_oracle(post, X_star, pred, mean_o, var_o):
@@ -451,6 +428,11 @@ class TestPredict:
         X_star[-1, 1] = bad  # in the last block
         with pytest.raises(KernelError):
             predict(post, X_star)
+
+    def test_three_dimensional_test_points_raise(self):
+        post = fit_posterior(ObservationSet([[0.0, 0.0], [1.0, 0.5]], [1.0, -1.0]), ISO, 0.1)
+        with pytest.raises(KernelError, match="at most 2-dimensional"):
+            predict(post, np.zeros((3, 2, 4)))
 
     def test_representer_property(self):
         rng = np.random.default_rng(31)

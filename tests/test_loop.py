@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 from gpbo import gp, loop
-from gpbo.acquisition import AcquisitionSpec, expected_improvement
+from gpbo.acquisition import AcquisitionSpec, expected_improvement, score
 from gpbo.baseline import random_search_baseline
 from gpbo.gp import HyperBounds, ObservationSet, fit_posterior, predict
 from gpbo.kernels import KernelSpec
@@ -205,6 +205,88 @@ class TestProposeNext:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(LoopError):
             propose_next(self.post, self.acq, unit_cube(2), 16, 0, 0, f_best=0.0)
+
+
+def reference_propose_next(post, acq, space, candidate_count, refine_iters, seed, f_best):
+    """``propose_next`` as it was before its pattern search got its own
+    scorer: fresh trial points by ``np.repeat``, then ``predict`` and
+    ``score`` per step.  Also returns whether the duplicate guard replaced
+    the search's point."""
+    def score_points(X):
+        pred = predict(post, X)
+        return np.asarray(score(acq, pred.mean, np.sqrt(pred.variance), f_best)).reshape(-1)
+
+    cands = halton_points(space, candidate_count, seed)
+    vals = score_points(cands)
+    best_i = int(np.argmax(vals))
+    best_x, best_v = cands[best_i].copy(), float(vals[best_i])
+    step = 0.1 * space.widths
+    min_step = 1e-12 * space.widths
+    axes = np.arange(space.dimension)
+    for _ in range(refine_iters):
+        trial = np.repeat(best_x[None, :], 2 * space.dimension, axis=0)
+        trial[2 * axes, axes] = np.minimum(best_x + step, space.upper)
+        trial[2 * axes + 1, axes] = np.maximum(best_x - step, space.lower)
+        tvals = score_points(trial)
+        ti = int(np.argmax(tvals))
+        if tvals[ti] > best_v:
+            best_x, best_v = trial[ti].copy(), float(tvals[ti])
+        else:
+            step = np.maximum(step / 2.0, min_step)
+    if post.noise_variance == 0.0 and loop._is_duplicate(post, space, best_x):
+        for i in np.argsort(-vals):
+            if not loop._is_duplicate(post, space, cands[i]):
+                return cands[i].copy(), float(vals[i]), True
+    return best_x, best_v, False
+
+
+KERNELS = [("sq_exp_iso", None), ("sq_exp_ard", None), ("matern", 0.5), ("matern", 1.5),
+           ("matern", 2.5)]
+ACQUISITIONS = {
+    "ei": AcquisitionSpec("ei", xi=0.01),
+    "pi": AcquisitionSpec("pi", xi=0.01),
+    "ucb": AcquisitionSpec("ucb"),
+    "ucb-mean": AcquisitionSpec("ucb", upsilon=0.0),  # maximized at a training point
+}
+
+
+class TestPatternSearchBits:
+    """``propose_next`` returns the reference's x and value, bit for bit, on
+    one BLAS thread."""
+
+    @staticmethod
+    def posterior(n, d, family, nu, noise):
+        rng = np.random.default_rng(1000 * n + d)
+        X = rng.uniform(0.0, 1.0, size=(n, d))
+        y = np.sin(6.0 * X).sum(axis=1) + 0.1 * rng.standard_normal(n)
+        ls = np.full(1 if family == "sq_exp_iso" else d, 0.3)
+        obs = ObservationSet(X, y - y.mean(), direction=gp.MAXIMIZE)
+        kernel = KernelSpec(family, 1.0, ls, nu=nu)
+        return fit_posterior(obs, kernel, noise, prior_mean=0.0), float(np.max(obs.y))
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-2], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("acq", list(ACQUISITIONS))
+    @pytest.mark.parametrize("family, nu", KERNELS)
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    @pytest.mark.parametrize("n", [1, 7, 40, 200])
+    def test_same_bits_as_predict_and_score(self, one_blas_thread, n, d, family, nu, acq, noise):
+        post, f_best = self.posterior(n, d, family, nu, noise)
+        space = unit_cube(d)
+        args = (post, ACQUISITIONS[acq], space, 64 * d, 32, n + d, f_best)
+        x, value = propose_next(*args)
+        want_x, want_value, _ = reference_propose_next(*args)
+        assert x.tobytes() == want_x.tobytes()
+        assert math.copysign(1.0, value) == math.copysign(1.0, want_value)
+        assert value == want_value
+
+    def test_guarded_case_has_the_same_bits(self, one_blas_thread):
+        obs = ObservationSet([[0.5]], [1.0], direction=gp.MAXIMIZE)
+        post = fit_posterior(obs, ISO, 0.0, prior_mean=0.0)
+        args = (post, ACQUISITIONS["ucb-mean"], unit_cube(1), 128, 32, 3, 1.0)
+        x, value = propose_next(*args)
+        want_x, want_value, guarded = reference_propose_next(*args)
+        assert guarded
+        assert x.tobytes() == want_x.tobytes() and value == want_value
 
 
 class TestRunBo:
