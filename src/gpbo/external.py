@@ -48,6 +48,15 @@ class NonFiniteResponseError(ExternalObjectiveError):
     """Worker returned a NaN or infinite value."""
 
 
+def _decoded(raw: bytes, iteration: int) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as e:
+        raise ProtocolError(
+            f"response at iteration {iteration} is not UTF-8: {raw[-200:]!r}: {e}", iteration
+        ) from None
+
+
 def _parse_response(line: str, iteration: int | None) -> float:
     try:
         obj = json.loads(line)
@@ -92,9 +101,8 @@ class ExternalObjective:
         try:
             result = subprocess.run(
                 list(self.spec.command),
-                input=request + "\n",
+                input=(request + "\n").encode(),
                 capture_output=True,
-                text=True,
                 timeout=self.spec.timeout,
             )
         except subprocess.TimeoutExpired:
@@ -103,13 +111,14 @@ class ExternalObjective:
             ) from None
         except OSError as e:
             raise WorkerCrashError(f"could not launch worker: {e}", it) from None
-        stderr = result.stderr.strip()[-STDERR_TAIL:]
+        # stderr only feeds error messages, so a stray byte there must not fail
+        stderr = result.stderr.decode(errors="replace").strip()[-STDERR_TAIL:]
         stderr = f"; its stderr ends: {stderr}" if stderr else ""
         if result.returncode != 0:
             raise WorkerCrashError(
                 f"worker exited with code {result.returncode} at iteration {it}{stderr}", it
             )
-        line = result.stdout.strip().splitlines()
+        line = _decoded(result.stdout, it).strip().splitlines()
         if not line:
             raise ProtocolError(f"worker produced no response at iteration {it}{stderr}", it)
         return _parse_response(line[-1], it)
@@ -158,7 +167,7 @@ class ExternalObjective:
                 break  # a last line without its newline is still a response
             self._pending += chunk
         line, _, self._pending = self._pending.partition(b"\n")
-        return _parse_response(line.decode().strip(), it)
+        return _parse_response(_decoded(line, it).strip(), it)
 
     def close(self) -> None:
         if self._proc is not None:

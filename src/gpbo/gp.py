@@ -15,10 +15,13 @@ predictive variance whitens test points by one triangular multiply (BLAS
 
 Predictions report the latent-function variance; observation noise is added
 only when explicitly requested.  Hyperparameters are fitted by multi-start
-L-BFGS on the log marginal likelihood in log-parameter space.  One function
-computes that likelihood: it is built once per design, keeps the squared
-coordinate differences, and costs one matrix-vector product, one closed form
-and one factorization per call.
+L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on the log marginal likelihood in
+log-parameter space, driving scipy's ``setulb`` routine directly with
+``scipy.optimize.minimize``'s settings, so each fit gives minimize's result
+without its per-evaluation wrapping.  One function computes that likelihood:
+it is built once per design, keeps the squared coordinate differences, and
+costs one matrix-vector product, one closed form and one factorization per
+call.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtri, dtrtrs
-from scipy.optimize import Bounds, minimize
+# setulb's 17-argument form, with ln_task, is scipy >= 1.15's; if it changes,
+# tests/test_gp.py::TestLbfgsb fails
+from scipy.optimize._lbfgsb import setulb
 
 from ._json import JsonCodec
 from .kernels import (
@@ -56,6 +61,14 @@ DEFAULT_JITTER_SCALE = 1e-12
 MAX_JITTER_SCALE = 1e-4
 #: L-BFGS iteration cap per hyperparameter restart
 LBFGS_MAXITER = 200
+#: the rest of ``scipy.optimize.minimize``'s L-BFGS-B defaults: corrections
+#: kept, ``factr`` from its ``ftol``, projected-gradient tolerance, steps per
+#: line search and the evaluation cap
+LBFGS_M = 10
+LBFGS_FACTR = 2.2204460492503131e-09 / EPS
+LBFGS_PGTOL = 1e-5
+LBFGS_MAXLS = 20
+LBFGS_MAXFUN = 15000
 #: entries in one (n, width) block of ``predict``: ~128 KB of float64 up to
 #: n = 85, n * 192 * 8 B from n = 86 on, where the ``BLOCK_ALIGN`` minimum
 #: width takes over (307 KB at n = 200).  With 32 K, predict over 2048
@@ -414,6 +427,47 @@ class HyperBounds(JsonCodec, error=GpError):
             object.__setattr__(self, f.name, pair)
 
 
+def _lbfgsb(fun, z0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimize ``fun(z) -> (f, grad)`` over the box ``[lo, hi]`` by L-BFGS-B.
+
+    Runs ``setulb``'s reverse-communication loop as ``scipy.optimize.minimize(
+    method="L-BFGS-B", bounds=Bounds(lo, hi), options={"maxiter":
+    LBFGS_MAXITER})`` does, with the same settings and caps, and returns its
+    ``(res.fun, res.x)`` bit for bit.  ``f`` is the last value ``fun``
+    returned, which on an ABNORMAL exit belongs to the failed line-search
+    trial, not to the point returned.  What it skips is minimize's
+    per-evaluation wrapping of ``fun``.
+    """
+    n = z0.size
+    m = LBFGS_M
+    x = np.clip(z0, lo, hi)
+    f, g = 0.0, np.zeros(n)
+    nbd = np.full(n, 2, np.int32)  # every variable bounded below and above
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    z, n_iter, n_eval = None, 0, 0
+    while True:
+        setulb(m, x, lo, hi, nbd, f, g, LBFGS_FACTR, LBFGS_PGTOL, wa, iwa,
+               task, lsave, isave, dsave, LBFGS_MAXLS, ln_task)
+        if task[0] == 3:  # FG: f and g at x
+            # a line-search trial can land on the point just evaluated, and
+            # minimize answers that from its cache
+            if z is None or (x != z).any():
+                z = x.copy()
+                f, g = fun(x.copy())
+                n_eval += 1
+        elif task[0] == 1:  # NEW_X: an iteration is done
+            n_iter += 1
+            if n_iter >= LBFGS_MAXITER:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif n_eval > LBFGS_MAXFUN:
+                task[:] = 5, 502  # STOP: evaluation limit
+        else:  # CONVERGENCE, STOP, WARNING, ERROR or ABNORMAL
+            return f, x
+
+
 def optimize_hypers(
     obs: ObservationSet,
     family: str = SQ_EXP_ISO,
@@ -429,11 +483,12 @@ def optimize_hypers(
     Returns the best ``(KernelSpec, noise_variance)`` found.  The search
     runs over ``KernelSpec.log_hypers()`` followed by ``log noise_variance``;
     when ``fixed_noise`` is given the noise variance is held there and
-    excluded from the search.  ``n_restarts`` counts every L-BFGS start, each
-    drawn log-uniformly inside ``bounds``.  A ``warm_start`` (a previous fit,
-    clipped to ``bounds``) takes the place of the last draw; if no start
-    factorizes, the draw it displaced runs after all.  Raises
-    ``FactorizationError`` when that fails too.  Deterministic given ``seed``.
+    excluded from the search.  ``n_restarts`` counts every L-BFGS-B start
+    (one ``_lbfgsb`` run), each drawn log-uniformly inside ``bounds``.  A
+    ``warm_start`` (a previous fit, clipped to ``bounds``) takes the place of
+    the last draw; if no start factorizes, the draw it displaced runs after
+    all.  Raises ``FactorizationError`` when that fails too.  Deterministic
+    given ``seed``.
     """
     if len(obs) < 2:
         raise GpError("optimize_hypers needs at least two observations")
@@ -452,7 +507,6 @@ def optimize_hypers(
     # math.log, not np.log: the two can differ in the last bit
     lo = np.array([math.log(a) for a, _ in pairs])
     hi = np.array([math.log(b) for _, b in pairs])
-    box = Bounds(lo, hi)
 
     lml = _lml_function(obs.X, obs.y - m0, family, template.nu)
 
@@ -465,15 +519,8 @@ def optimize_hypers(
         return -val, -(grad if fit_noise else grad[:-1])
 
     def fit_from(z0: np.ndarray) -> tuple[float, np.ndarray]:
-        res = minimize(
-            neg_lml,
-            z0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=box,
-            options={"maxiter": LBFGS_MAXITER},
-        )
-        return (res.fun if np.isfinite(res.fun) else math.inf), res.x
+        f, z = _lbfgsb(neg_lml, z0, lo, hi)
+        return (f if np.isfinite(f) else math.inf), z
 
     rng = np.random.default_rng(seed)
     starts = [rng.uniform(lo, hi) for _ in range(n_restarts - (warm_start is not None))]

@@ -237,6 +237,21 @@ class TestBaseline:
         assert len(trace) == 15
         assert all(math.isnan(r.acq_value) for r in trace)
 
+    @pytest.mark.parametrize("mode", ["persistent", "oneshot"])
+    def test_response_that_is_not_utf8_exits_3(self, tmp_path, capsys, mode):
+        worker = tmp_path / "latin1_worker.py"
+        worker.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    sys.stdout.buffer.write(b'{\"y\": 1.0\\xff}\\n')\n"
+            "    sys.stdout.flush()\n"
+        )
+        objective = {"kind": "external", "command": [sys.executable, str(worker)], "mode": mode}
+        cfg = write_config(tmp_path, objective=objective)
+        rc = main(["baseline", "--config", str(cfg), "--budget", "5"])
+        assert rc == EXIT_OBJECTIVE
+        assert "iteration 0 is not UTF-8" in capsys.readouterr().err
+
     def test_summary_path_from_config(self, tmp_path, capsys):
         summary_path = tmp_path / "rs-summary.json"
         cfg = write_config(tmp_path, output={"summary": str(summary_path)})

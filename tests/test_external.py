@@ -57,6 +57,18 @@ class TestPersistentWorker:
             with pytest.raises(ProtocolError, match="boom"):
                 obj([0.5])
 
+    def test_response_that_is_not_utf8_is_protocol_error(self, tmp_path):
+        worker = write_worker(
+            tmp_path,
+            "for line in sys.stdin:\n"
+            "    sys.stdout.buffer.write(b'{\"y\": 1.0\\xff}\\n')\n"
+            "    sys.stdout.flush()\n",
+        )
+        with ExternalObjective(worker_spec(worker)) as obj:
+            with pytest.raises(ProtocolError, match="at iteration 0 is not UTF-8") as err:
+                obj([0.5])
+            assert err.value.iteration == 0
+
     def test_non_finite_response(self, tmp_path):
         worker = write_worker(
             tmp_path,
@@ -156,6 +168,22 @@ class TestOneshotWorker:
         with ExternalObjective(worker_spec(worker, mode="oneshot")) as obj:
             with pytest.raises(ProtocolError):
                 obj([0.5])
+
+    def test_response_that_is_not_utf8_is_protocol_error(self, tmp_path):
+        worker = write_worker(tmp_path, "sys.stdout.buffer.write(b'{\"y\": 1.0\\xff}\\n')\n")
+        with ExternalObjective(worker_spec(worker, mode="oneshot")) as obj:
+            with pytest.raises(ProtocolError, match="at iteration 0 is not UTF-8") as err:
+                obj([0.5])
+            assert err.value.iteration == 0
+
+    def test_stderr_that_is_not_utf8_leaves_a_valid_response(self, tmp_path):
+        worker = write_worker(
+            tmp_path,
+            "sys.stderr.buffer.write(b'warning \\xff\\n')\n"
+            "print(json.dumps({'y': 1.0}))\n",
+        )
+        with ExternalObjective(worker_spec(worker, mode="oneshot")) as obj:
+            assert obj([0.5]) == 1.0
 
     @pytest.mark.parametrize(
         "exit_code, error", [(3, WorkerCrashError), (0, ProtocolError)]

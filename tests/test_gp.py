@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.optimize import OptimizeResult
+from scipy.optimize import Bounds, OptimizeResult, minimize
 
 from gpbo import gp as gp_module
 from gpbo.gp import (
@@ -724,21 +724,20 @@ class TestOptimizeHypers:
         return np.append(spec.log_hypers(), math.log(noise))
 
     def record_starts(self, monkeypatch, fail=lambda i: False):
-        """Stub ``gp.minimize``; returns the ``(z0, result)`` of every run.
+        """Stub ``gp._lbfgsb``; returns the ``(z0, result)`` of every run.
 
         Run ``i`` (from 0) ends at the failed-factorization sentinel when
-        ``fail(i)`` holds, and runs L-BFGS otherwise.
+        ``fail(i)`` holds, and runs L-BFGS-B otherwise.
         """
         runs = []
-        real = gp_module.minimize
+        real = gp_module._lbfgsb
 
-        def stub(fun, x0, **kw):
-            failed = fail(len(runs))
-            res = OptimizeResult(fun=1e25, x=x0.copy()) if failed else real(fun, x0, **kw)
-            runs.append((x0.copy(), res))
-            return res
+        def stub(fun, z0, lo, hi):
+            f, x = (1e25, z0.copy()) if fail(len(runs)) else real(fun, z0, lo, hi)
+            runs.append((z0.copy(), OptimizeResult(fun=f, x=x)))
+            return f, x
 
-        monkeypatch.setattr(gp_module, "minimize", stub)
+        monkeypatch.setattr(gp_module, "_lbfgsb", stub)
         return runs
 
     def fit(self, n_restarts, warm):
@@ -783,6 +782,97 @@ class TestOptimizeHypers:
         random_starts = [z0 for z0, _ in runs if not np.array_equal(z0, self.warm_z())]
         for z0, want in zip(random_starts, self.draws(n_restarts), strict=True):
             assert np.array_equal(z0, want)
+
+
+class TestLbfgsb:
+    """``gp._lbfgsb`` against ``scipy.optimize.minimize(method="L-BFGS-B")`` on
+    ``optimize_hypers``' own objectives: the same ``(fun, x)`` bits from the
+    same evaluations.  ``_lbfgsb`` calls scipy's private ``setulb``; if scipy
+    changes it, this is the test that fails."""
+
+    def problems(self, monkeypatch, obs, family, nu, fixed_noise):
+        """``(neg_lml, z0, lo, hi)`` of every start of one ``optimize_hypers``."""
+        runs = []
+        real = gp_module._lbfgsb
+
+        def record(fun, z0, lo, hi):
+            runs.append((fun, z0.copy(), lo, hi))
+            return real(fun, z0, lo, hi)
+
+        monkeypatch.setattr(gp_module, "_lbfgsb", record)
+        optimize_hypers(obs, family=family, nu=nu, fixed_noise=fixed_noise, n_restarts=4)
+        monkeypatch.setattr(gp_module, "_lbfgsb", real)
+        return runs
+
+    def check(self, fun, z0, lo, hi):
+        """Asserts the same result and evaluation points; returns minimize's result."""
+        points = []
+
+        def counted(z):
+            points.append(z.tobytes())
+            return fun(z)
+
+        options = {"maxiter": gp_module.LBFGS_MAXITER}
+        res = minimize(counted, z0, jac=True, method="L-BFGS-B", bounds=Bounds(lo, hi), options=options)
+        theirs, points[:] = points[:], []
+        f, x = gp_module._lbfgsb(counted, z0, lo, hi)
+        assert float(f).hex() == float(res.fun).hex()
+        assert x.tobytes() == res.x.tobytes()
+        assert points == theirs
+        return res
+
+    @pytest.mark.parametrize("noise_mode", ["fitted", "fixed"])
+    @pytest.mark.parametrize("family, nu", FAMILIES)
+    def test_same_bits_as_minimize(self, monkeypatch, family, nu, noise_mode):
+        rng = np.random.default_rng(79)
+        for _ in range(3):
+            obs, _, noise, _ = random_instance(rng, n=int(rng.integers(5, 25)), family=family, nu=nu)
+            fixed = noise if noise_mode == "fixed" else None
+            problems = self.problems(monkeypatch, obs, family, nu, fixed)
+            for fun, z0, lo, hi in problems:
+                self.check(fun, z0, lo, hi)
+            fun, _, lo, hi = problems[0]
+            # starts on a bound: every coordinate at lo, at hi, and alternating
+            for z0 in (lo, hi, np.where(np.arange(lo.size) % 2, lo, hi)):
+                self.check(fun, z0.copy(), lo, hi)
+
+    @pytest.mark.parametrize("noise_mode", ["fitted", "fixed"])
+    @pytest.mark.parametrize("family, nu", FAMILIES)
+    def test_start_where_every_evaluation_fails(self, monkeypatch, family, nu, noise_mode):
+        obs, _, noise, _ = random_instance(np.random.default_rng(83), n=10, family=family, nu=nu)
+        fixed = noise if noise_mode == "fixed" else None
+        problems = self.problems(monkeypatch, obs, family, nu, fixed)
+
+        def no_factor(K, scale):
+            raise FactorizationError("stub")
+
+        monkeypatch.setattr(gp_module, "_chol_with_jitter", no_factor)
+        for fun, z0, lo, hi in problems:
+            res = self.check(fun, z0, lo, hi)
+            assert res.fun == 1e25 and res.nfev == 1
+
+    @pytest.mark.parametrize("noise_mode", ["fitted", "fixed"])
+    @pytest.mark.parametrize("family, nu", FAMILIES)
+    def test_iteration_cap(self, monkeypatch, family, nu, noise_mode):
+        obs, _, noise, _ = random_instance(np.random.default_rng(89), n=15, family=family, nu=nu)
+        fixed = noise if noise_mode == "fixed" else None
+        problems = self.problems(monkeypatch, obs, family, nu, fixed)
+        monkeypatch.setattr(gp_module, "LBFGS_MAXITER", 2)
+        results = [self.check(*problem) for problem in problems]
+        assert any(res.nit == 2 and "ITERATIONS REACHED LIMIT" in res.message for res in results)
+
+    @pytest.mark.parametrize("family, nu", FAMILIES)
+    def test_abnormal_exit(self, monkeypatch, family, nu):
+        """A noiseless design with two points 1e-9 apart: the jitter ladder
+        switches on and off along the line searches, which then fail.  The
+        value reported is the failed trial's, which need not be ``fun(x)``."""
+        rng = np.random.default_rng(0)
+        X = rng.uniform(0, 1, (8, 2))
+        X = np.vstack([X, X[3] + rng.uniform(-1e-9, 1e-9, 2)])
+        obs = ObservationSet(X, np.sin(3 * X[:, 0]) + X[:, 1] ** 2)
+        problems = self.problems(monkeypatch, obs, family, nu, 0.0)
+        results = [self.check(*problem) for problem in problems]
+        assert any(res.message.startswith("ABNORMAL") for res in results)
 
 
 class TestSampling:

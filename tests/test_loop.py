@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from gpbo import gp, loop
 from gpbo.acquisition import AcquisitionSpec, expected_improvement, score
@@ -399,11 +398,11 @@ class TestRefitSchedule:
         calls = _record_fits(monkeypatch)
         starts = []
 
-        def failing_minimize(fun, x0, **kw):
-            starts.append(x0)
-            return OptimizeResult(fun=1e25, x=x0)
+        def failing_lbfgsb(fun, z0, lo, hi):
+            starts.append(z0)
+            return 1e25, z0
 
-        monkeypatch.setattr(gp, "minimize", failing_minimize)
+        monkeypatch.setattr(gp, "_lbfgsb", failing_lbfgsb)
         with pytest.raises(gp.FactorizationError):
             self.run(hyper_restarts=restarts)
         assert len(calls) == 1 and len(starts) == restarts
