@@ -15,13 +15,16 @@ predictive variance whitens test points by one triangular multiply (BLAS
 
 Predictions report the latent-function variance; observation noise is added
 only when explicitly requested.  Hyperparameters are fitted by multi-start
-L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on the log marginal likelihood in
-log-parameter space, driving scipy's ``setulb`` routine directly with
-``scipy.optimize.minimize``'s settings, so each fit gives minimize's result
-without its per-evaluation wrapping.  One function computes that likelihood:
-it is built once per design, keeps the squared coordinate differences, and
-costs one matrix-vector product, one closed form and one factorization per
-call.
+L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on the log marginal likelihood
+divided by n, in log-parameter space, driving scipy's ``setulb`` routine
+directly with ``scipy.optimize.minimize``'s settings, so each fit gives
+minimize's result without its per-evaluation wrapping.  With the noise
+fitted, the signal variance is profiled out in closed form (the
+concentrated likelihood of kriging, see ``optimize_hypers``), so the search
+has one dimension fewer.  One function computes the likelihood, and its
+profiled form: it is built once per design, keeps the squared coordinate
+differences, and costs one matrix-vector product, one closed form and one
+factorization per call.
 """
 
 from __future__ import annotations
@@ -69,6 +72,8 @@ LBFGS_FACTR = 2.2204460492503131e-09 / EPS
 LBFGS_PGTOL = 1e-5
 LBFGS_MAXLS = 20
 LBFGS_MAXFUN = 15000
+#: ``setulb``'s exit task after a line search that failed
+LBFGS_ABNORMAL = 8
 #: entries in one (n, width) block of ``predict``: ~128 KB of float64 up to
 #: n = 85, n * 192 * 8 B from n = 86 on, where the ``BLOCK_ALIGN`` minimum
 #: width takes over (307 KB at n = 200).  With 32 K, predict over 2048
@@ -339,12 +344,20 @@ def _mean_and_whitened(
 def _lml_function(X: np.ndarray, resid: np.ndarray, family: str, nu: float | None):
     """log N(resid | 0, K + noise I) on the design ``X``, as a function of the hypers.
 
-    Returns ``lml(signal_variance, length_scales, noise_variance, with_grad)``
-    for a ``family``/``nu`` kernel; the gradient is taken w.r.t. ``[log
-    signal_variance, log length_scales..., log noise_variance]``.  The
+    Returns ``lml(signal_variance, length_scales, noise_variance, with_grad,
+    bounds)`` for a ``family``/``nu`` kernel; the gradient is taken w.r.t.
+    ``[log signal_variance, log length_scales..., log noise_variance]``.  The
     (n*n, d) squared coordinate differences are formed once, so a call forms
     K by one matrix-vector product and the family's closed form, and takes
     every length-scale gradient by one more product with them.
+
+    Given ``bounds`` (a ``HyperBounds``), it is the concentrated likelihood
+    instead: ``signal_variance`` is 1, ``noise_variance`` is the ratio
+    lam = noise / s2, and K = s2 C, C = g + lam I, for the s2 that maximizes
+    the likelihood inside the bounds on s2 and on s2 lam.  That is
+    q / n = r^T C^-1 r / n clipped to them.  It returns ``(val, s2)``, or
+    ``(val, grad, s2)`` with ``grad`` w.r.t. ``[log length_scales...,
+    log lam]``.
     """
     n, d = X.shape
     diffs = X[:, None, :] - X[None, :, :]
@@ -354,7 +367,7 @@ def _lml_function(X: np.ndarray, resid: np.ndarray, family: str, nu: float | Non
     i, j = np.triu_indices(n, 1)
     upper, lower = i + j * n, j + i * n
 
-    def lml(signal_variance, length_scales, noise_variance, with_grad=False):
+    def lml(signal_variance, length_scales, noise_variance, with_grad=False, bounds=None):
         inv_l2 = 1.0 / np.square(length_scales)
         if family == SQ_EXP_ISO:
             # the one length-scale as a stride-0 view: matmul sums it in
@@ -369,24 +382,38 @@ def _lml_function(X: np.ndarray, resid: np.ndarray, family: str, nu: float | Non
         K.reshape(-1)[:: n + 1] += noise_variance
         L, _ = _chol_with_jitter(K, signal_variance)
         alpha, _ = dpotrs(L, resid, lower=1)
-        val = float(-0.5 * resid @ alpha - np.log(L.diagonal()).sum() - 0.5 * n * LOG_2PI)
+        quad = resid @ alpha
+        s2 = 1.0
+        if bounds is not None:
+            # the bounds on s2 lam, then those on s2, which win where the
+            # rounding of lam at its box's ends leaves the two disjoint
+            (s_lo, s_hi), (noise_lo, noise_hi) = bounds.signal_variance, bounds.noise_variance
+            s2 = min(max(quad / n, noise_lo / noise_variance), noise_hi / noise_variance)
+            s2 = min(max(s2, s_lo), s_hi)
+        half_logdet = np.log(L.diagonal()).sum()
+        val = float(-0.5 * quad / s2 - half_logdet - 0.5 * n * (LOG_2PI + math.log(s2)))
         if not with_grad:
-            return val
-        # d lml / d theta = 0.5 tr(W dK/dtheta), W = alpha alpha^T - K^-1;
+            return val if bounds is None else (val, s2)
+        # d lml / d theta = 0.5 tr(W dK/dtheta), W = alpha alpha^T / s2 - K^-1;
         # potri fills only the lower triangle of K^-1
         Kinv, _ = dpotri(L, lower=1, overwrite_c=1)
         flat = Kinv.T.reshape(-1)
         flat[upper] = flat[lower]
-        W = alpha[:, None] * alpha
+        W = alpha[:, None] * (alpha / s2)
         W -= Kinv
         ls_grad = 0.5 * signal_variance * inv_l2 * ((W * c).ravel() @ D2)
         grad = np.empty(np.size(length_scales) + 2)
-        # a sum, not a BLAS dot: a threaded ddot over n*n entries left the next
-        # factorization several times slower on a 2-core host at n = 200
-        grad[0] = 0.5 * signal_variance * (W * g).sum()
         grad[1:-1] = ls_grad.sum() if family == SQ_EXP_ISO else ls_grad
         grad[-1] = 0.5 * noise_variance * W.trace()  # dK/d log(noise) = noise * I
-        return val, grad
+        if bounds is None:
+            # a sum, not a BLAS dot: a threaded ddot over n*n entries left the
+            # next factorization several times slower on a 2-core host at n = 200
+            grad[0] = 0.5 * signal_variance * (W * g).sum()
+            return val, grad
+        if s2 != quad / n and s2 not in bounds.signal_variance:
+            # a noise bound c sets s2 = c / lam, so d log s2 / d log lam = -1
+            grad[-1] -= 0.5 * (quad / s2 - n)
+        return val, grad[1:], s2
 
     return lml
 
@@ -427,16 +454,17 @@ class HyperBounds(JsonCodec, error=GpError):
             object.__setattr__(self, f.name, pair)
 
 
-def _lbfgsb(fun, z0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[float, np.ndarray]:
+def _lbfgsb(fun, z0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[float, np.ndarray, int]:
     """Minimize ``fun(z) -> (f, grad)`` over the box ``[lo, hi]`` by L-BFGS-B.
 
     Runs ``setulb``'s reverse-communication loop as ``scipy.optimize.minimize(
     method="L-BFGS-B", bounds=Bounds(lo, hi), options={"maxiter":
     LBFGS_MAXITER})`` does, with the same settings and caps, and returns its
-    ``(res.fun, res.x)`` bit for bit.  ``f`` is the last value ``fun``
-    returned, which on an ABNORMAL exit belongs to the failed line-search
-    trial, not to the point returned.  What it skips is minimize's
-    per-evaluation wrapping of ``fun``.
+    ``(res.fun, res.x)`` bit for bit, with the exit task: ``setulb``'s status
+    code, whose name starts ``res.message``.  ``f`` is the last value ``fun``
+    returned, which on an ``LBFGS_ABNORMAL`` exit belongs to the failed
+    line-search trial, not to the point returned.  What it skips is
+    minimize's per-evaluation wrapping of ``fun``.
     """
     n = z0.size
     m = LBFGS_M
@@ -465,7 +493,7 @@ def _lbfgsb(fun, z0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[float,
             elif n_eval > LBFGS_MAXFUN:
                 task[:] = 5, 502  # STOP: evaluation limit
         else:  # CONVERGENCE, STOP, WARNING, ERROR or ABNORMAL
-            return f, x
+            return f, x, int(task[0])
 
 
 def optimize_hypers(
@@ -480,15 +508,28 @@ def optimize_hypers(
 ) -> tuple[KernelSpec, float]:
     """Multi-start maximization of the log marginal likelihood.
 
-    Returns the best ``(KernelSpec, noise_variance)`` found.  The search
-    runs over ``KernelSpec.log_hypers()`` followed by ``log noise_variance``;
-    when ``fixed_noise`` is given the noise variance is held there and
-    excluded from the search.  ``n_restarts`` counts every L-BFGS-B start
-    (one ``_lbfgsb`` run), each drawn log-uniformly inside ``bounds``.  A
+    Returns the best ``(KernelSpec, noise_variance)`` found inside
+    ``bounds``.  With the noise fitted, L-BFGS-B maximizes the concentrated
+    likelihood (Roustant, Ginsbourger & Deville 2012, "DiceKriging,
+    DiceOptim", J. Stat. Softw. 51(1)) over ``log length_scales`` and
+    ``log lam``, lam = noise / signal_variance: each evaluation sets the
+    signal variance to its optimum inside its bounds and the noise's, in
+    closed form (``_lml_function``).  ``log lam`` runs over
+    ``[log(noise_lo / signal_hi), log(noise_hi / signal_lo)]``, where that
+    optimum always exists, so the fit is the maximum of the likelihood over
+    the whole ``bounds`` box.  When ``fixed_noise`` is given the noise
+    variance is held there, and the search runs over
+    ``KernelSpec.log_hypers()``.  Either objective is divided by n, so its
+    gradient does not grow with the design.
+
+    ``n_restarts`` counts every L-BFGS-B start (one ``_lbfgsb`` run), each
+    drawn log-uniformly inside ``bounds`` over ``log_hypers()`` and ``log
+    noise_variance``, then mapped to the search's coordinates.  A
     ``warm_start`` (a previous fit, clipped to ``bounds``) takes the place of
     the last draw; if no start factorizes, the draw it displaced runs after
-    all.  Raises ``FactorizationError`` when that fails too.  Deterministic
-    given ``seed``.
+    all.  A run that exits ``LBFGS_ABNORMAL`` is ranked by the value at the
+    point it returns.  Raises ``FactorizationError`` when no start
+    factorizes.  Deterministic given ``seed``.
     """
     if len(obs) < 2:
         raise GpError("optimize_hypers needs at least two observations")
@@ -500,43 +541,67 @@ def optimize_hypers(
     template = KernelSpec(family, length_scales=ones, nu=nu)
     # a fitted noise stays inside its bounds, so only a fixed one needs the check
     m0 = _checked_prior_mean(obs, template, 0.0 if fit_noise else fixed_noise, None)
-    n_kernel = template.n_hypers
-    pairs = [bounds.signal_variance] + [bounds.length_scale] * (n_kernel - 1)
+    n = len(obs)
+    (s_lo, s_hi), (noise_lo, noise_hi) = bounds.signal_variance, bounds.noise_variance
+    # starts are drawn over [log s2, log length_scales..., log noise]; the
+    # fitted-noise search runs over [log length_scales..., log lam]
+    pairs = [bounds.signal_variance] + [bounds.length_scale] * (template.n_hypers - 1)
     if fit_noise:
         pairs.append(bounds.noise_variance)
     # math.log, not np.log: the two can differ in the last bit
-    lo = np.array([math.log(a) for a, _ in pairs])
-    hi = np.array([math.log(b) for _, b in pairs])
+    draw_lo = np.array([math.log(a) for a, _ in pairs])
+    draw_hi = np.array([math.log(b) for _, b in pairs])
+    lo, hi = draw_lo, draw_hi
+    if fit_noise:
+        lo = np.append(draw_lo[1:-1], math.log(noise_lo / s_hi))
+        hi = np.append(draw_hi[1:-1], math.log(noise_hi / s_lo))
+
+    def searched(z: np.ndarray) -> np.ndarray:
+        """A start in the search's coordinates."""
+        return np.append(z[1:-1], z[-1] - z[0]) if fit_noise else z
 
     lml = _lml_function(obs.X, obs.y - m0, family, template.nu)
 
     def neg_lml(z: np.ndarray) -> tuple[float, np.ndarray]:
-        noise = math.exp(z[-1]) if fit_noise else fixed_noise
         try:
-            val, grad = lml(math.exp(z[0]), np.exp(z[1:n_kernel]), noise, with_grad=True)
+            if fit_noise:
+                val, grad, _ = lml(1.0, np.exp(z[:-1]), math.exp(z[-1]), True, bounds)
+            else:
+                val, grad = lml(math.exp(z[0]), np.exp(z[1:]), fixed_noise, with_grad=True)
+                grad = grad[:-1]
         except FactorizationError:
             return 1e25, np.zeros_like(z)
-        return -val, -(grad if fit_noise else grad[:-1])
+        return -val / n, grad / -n
 
     def fit_from(z0: np.ndarray) -> tuple[float, np.ndarray]:
-        f, z = _lbfgsb(neg_lml, z0, lo, hi)
+        f, z, task = _lbfgsb(neg_lml, z0, lo, hi)
+        if task == LBFGS_ABNORMAL:
+            f, _ = neg_lml(z)
         return (f if np.isfinite(f) else math.inf), z
 
     rng = np.random.default_rng(seed)
-    starts = [rng.uniform(lo, hi) for _ in range(n_restarts - (warm_start is not None))]
+    starts = [searched(rng.uniform(draw_lo, draw_hi))
+              for _ in range(n_restarts - (warm_start is not None))]
     if warm_start is not None:
         spec, noise = warm_start
         z = spec.log_hypers()
         if fit_noise:
-            z = np.append(z, math.log(max(noise, bounds.noise_variance[0])))
-        starts.append(np.clip(z, lo, hi))
+            z = np.append(z, math.log(max(noise, noise_lo)))
+        starts.append(searched(np.clip(z, draw_lo, draw_hi)))
     best_val, best_z = min(map(fit_from, starts), key=lambda fit: fit[0])
     if best_val >= 1e25 and warm_start is not None:
-        best_val, best_z = fit_from(rng.uniform(lo, hi))
+        best_val, best_z = fit_from(searched(rng.uniform(draw_lo, draw_hi)))
     if best_val >= 1e25:
         raise FactorizationError("all hyperparameter restarts failed to factorize")
-    noise = math.exp(best_z[-1]) if fit_noise else fixed_noise
-    return template.with_log_hypers(best_z[:n_kernel]), noise
+    # exp(log bound) can round past the bound, and so can s2 lam
+    length_scales = np.clip(np.exp(best_z[:-1] if fit_noise else best_z[1:]), *bounds.length_scale)
+    if fit_noise:
+        lam = math.exp(best_z[-1])
+        _, s2 = lml(1.0, length_scales, lam, bounds=bounds)
+        noise = float(min(max(s2 * lam, noise_lo), noise_hi))
+    else:
+        s2, noise = min(max(math.exp(best_z[0]), s_lo), s_hi), fixed_noise
+    return KernelSpec(family, s2, length_scales, template.nu), noise
 
 
 def sample_function(

@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import Bounds, OptimizeResult, minimize
+from scipy.optimize._lbfgsb_py import status_messages
 
 from gpbo import gp as gp_module
 from gpbo.gp import (
@@ -36,6 +37,8 @@ from gpbo.kernels import (
 )
 
 ISO = KernelSpec("sq_exp_iso")
+#: ``setulb``'s exit task on convergence
+CONVERGENCE = 4
 FAMILIES = [
     ("sq_exp_iso", None),
     ("sq_exp_ard", None),
@@ -710,32 +713,45 @@ class TestOptimizeHypers:
     def obs(self):
         return random_instance(np.random.default_rng(73), n=10, d=2)[0]
 
+    @staticmethod
+    def searched(z):
+        """``[log s2, log l1, log l2, log noise]`` in the fitted-noise search's
+        coordinates, ``[log l1, log l2, log lam]`` with lam = noise / s2."""
+        return np.append(z[1:-1], z[-1] - z[0])
+
     def draws(self, k):
-        """The first ``k`` log-uniform starts for seed ``SEED``."""
+        """The first ``k`` log-uniform starts for seed ``SEED``, mapped."""
         b = self.BOUNDS
         pairs = [b.signal_variance, b.length_scale, b.length_scale, b.noise_variance]
         lo = np.array([math.log(a) for a, _ in pairs])
         hi = np.array([math.log(b) for _, b in pairs])
         rng = np.random.default_rng(self.SEED)
-        return [rng.uniform(lo, hi) for _ in range(k)]
+        return [self.searched(rng.uniform(lo, hi)) for _ in range(k)]
+
+    def length_scales(self, z):
+        """The length-scales a fit at search point ``z`` returns: exp(log
+        bound) can round past the bound, so they are clipped to it."""
+        return np.clip(np.exp(z[:2]), *self.BOUNDS.length_scale)
 
     def warm_z(self):
         spec, noise = self.WARM
-        return np.append(spec.log_hypers(), math.log(noise))
+        return self.searched(np.append(spec.log_hypers(), math.log(noise)))
 
     def record_starts(self, monkeypatch, fail=lambda i: False):
         """Stub ``gp._lbfgsb``; returns the ``(z0, result)`` of every run.
 
         Run ``i`` (from 0) ends at the failed-factorization sentinel when
-        ``fail(i)`` holds, and runs L-BFGS-B otherwise.
+        ``fail(i)`` holds, as a start whose every evaluation fails converges
+        there, and runs L-BFGS-B otherwise.
         """
         runs = []
         real = gp_module._lbfgsb
 
         def stub(fun, z0, lo, hi):
-            f, x = (1e25, z0.copy()) if fail(len(runs)) else real(fun, z0, lo, hi)
+            failed = (1e25, z0.copy(), CONVERGENCE)
+            f, x, task = failed if fail(len(runs)) else real(fun, z0, lo, hi)
             runs.append((z0.copy(), OptimizeResult(fun=f, x=x)))
-            return f, x
+            return f, x, task
 
         monkeypatch.setattr(gp_module, "_lbfgsb", stub)
         return runs
@@ -766,9 +782,8 @@ class TestOptimizeHypers:
         assert len(runs) == n_restarts + 1
         z0, res = runs[-1]
         assert np.array_equal(z0, self.draws(n_restarts)[-1])
-        template = KernelSpec("sq_exp_ard", length_scales=np.ones(2))
-        assert kernel.to_json_dict() == template.with_log_hypers(res.x[:3]).to_json_dict()
-        assert noise == math.exp(res.x[-1])
+        assert np.array_equal(kernel.length_scales, self.length_scales(res.x))
+        assert noise == pytest.approx(kernel.signal_variance * math.exp(res.x[-1]), rel=1e-15)
 
     @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("n_restarts", [1, 3])
@@ -782,6 +797,140 @@ class TestOptimizeHypers:
         random_starts = [z0 for z0, _ in runs if not np.array_equal(z0, self.warm_z())]
         for z0, want in zip(random_starts, self.draws(n_restarts), strict=True):
             assert np.array_equal(z0, want)
+
+    @pytest.mark.parametrize("task", [CONVERGENCE, gp_module.LBFGS_ABNORMAL])
+    def test_only_an_abnormal_exit_is_evaluated_again(self, monkeypatch, task):
+        """Run 0 stops at its start and reports a value below every other run's,
+        as a failed line-search trial's can be.  After an ABNORMAL exit the
+        fit ranks that run by its point's own value and so takes another
+        run's point; after any other exit it trusts the value."""
+        real = gp_module._lbfgsb
+        runs = []
+
+        def stub(fun, z0, lo, hi):
+            f, x, exit_task = real(fun, z0, lo, hi)
+            if not runs:
+                f, x, exit_task = -1e300, np.clip(z0, lo, hi), task
+            runs.append((x, fun(x)[0]))
+            return f, x, exit_task
+
+        monkeypatch.setattr(gp_module, "_lbfgsb", stub)
+        kernel, _ = self.fit(3, warm=False)
+        if task == CONVERGENCE:
+            want = runs[0][0]
+        else:
+            want = min(runs, key=lambda run: run[1])[0]
+            assert want is not runs[0][0]
+        assert np.array_equal(kernel.length_scales, self.length_scales(want))
+
+
+class TestConcentratedLikelihood:
+    """``optimize_hypers``' fitted-noise objective: -lml / n over z = [log
+    length_scales..., log lam], lam = noise / s2, with the signal variance s2
+    set in closed form inside its bounds and the noise's."""
+
+    # which end of the s2 interval is active: s2 = q / n inside it, or a
+    # signal bound, or a noise bound over lam
+    BRANCHES = ["interior", "signal_lo", "signal_hi", "noise_lo", "noise_hi"]
+
+    @staticmethod
+    def bounds_for(branch, s2, lam):
+        """Bounds that make ``branch`` active at the unclipped optimum ``s2``,
+        with a factor of 2 to spare on either side."""
+        wide_s, wide_noise = (1e-6 * s2, 1e6 * s2), (1e-6 * s2 * lam, 1e6 * s2 * lam)
+        return {
+            "interior": HyperBounds((s2 / 10, 10 * s2), (1e-2, 1e1),
+                                    (s2 * lam / 10, 10 * s2 * lam)),
+            "signal_lo": HyperBounds((2 * s2, 20 * s2), (1e-2, 1e1), wide_noise),
+            "signal_hi": HyperBounds((s2 / 20, s2 / 2), (1e-2, 1e1), wide_noise),
+            "noise_lo": HyperBounds(wide_s, (1e-2, 1e1), (2 * s2 * lam, 20 * s2 * lam)),
+            "noise_hi": HyperBounds(wide_s, (1e-2, 1e1), (s2 * lam / 20, s2 * lam / 2)),
+        }[branch]
+
+    @staticmethod
+    def expected_s2(branch, bounds, lam):
+        (s_lo, s_hi), (noise_lo, noise_hi) = bounds.signal_variance, bounds.noise_variance
+        return {"signal_lo": s_lo, "signal_hi": s_hi,
+                "noise_lo": noise_lo / lam, "noise_hi": noise_hi / lam}.get(branch)
+
+    @staticmethod
+    def objective(monkeypatch, obs, family, nu, bounds):
+        """The ``neg_lml`` that ``optimize_hypers`` hands L-BFGS-B, and its fit."""
+        funs = []
+        real = gp_module._lbfgsb
+
+        def record(fun, z0, lo, hi):
+            funs.append(fun)
+            return real(fun, z0, lo, hi)
+
+        monkeypatch.setattr(gp_module, "_lbfgsb", record)
+        fit = optimize_hypers(obs, family=family, nu=nu, bounds=bounds, n_restarts=2)
+        monkeypatch.setattr(gp_module, "_lbfgsb", real)
+        return funs[0], fit
+
+    def cases(self, family, nu):
+        """``(obs, z, unclipped s2)`` at random length-scales and ratio."""
+        rng = np.random.default_rng(97)
+        for _ in range(4):
+            obs, kernel, _, _ = random_instance(rng, n=int(rng.integers(4, 15)), d=2,
+                                                family=family, nu=nu)
+            lam = float(rng.uniform(0.01, 1.0))
+            unit = KernelSpec(family, 1.0, kernel.length_scales, nu)
+            C = gram_matrix(unit, obs.X) + lam * np.eye(len(obs))
+            resid = obs.y - np.mean(obs.y)
+            s2 = float(resid @ np.linalg.solve(C, resid)) / len(obs)
+            yield obs, np.append(np.log(kernel.length_scales), math.log(lam)), s2
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    @pytest.mark.parametrize("family, nu", FAMILIES)
+    def test_value_and_gradient_on_every_branch(self, monkeypatch, family, nu, branch):
+        h = 1e-5
+        for obs, z, s2_free in self.cases(family, nu):
+            lam = math.exp(z[-1])
+            bounds = self.bounds_for(branch, s2_free, lam)
+            fun, _ = self.objective(monkeypatch, obs, family, nu, bounds)
+            val, grad = fun(z)
+            _, s2 = gp_module._lml_function(obs.X, obs.y - np.mean(obs.y), family, nu)(
+                1.0, np.exp(z[:-1]), lam, bounds=bounds
+            )
+            want_s2 = self.expected_s2(branch, bounds, lam)
+            assert s2 == (want_s2 if want_s2 is not None else pytest.approx(s2_free, rel=1e-10))
+            kernel = KernelSpec(family, s2, np.exp(z[:-1]), nu)
+            lml = log_marginal_likelihood(obs, kernel, s2 * lam)
+            assert -val == pytest.approx(lml / len(obs), rel=1e-12, abs=0)
+            fd = np.empty_like(z)
+            for i in range(z.size):
+                zp, zm = z.copy(), z.copy()
+                zp[i] += h
+                zm[i] -= h
+                fd[i] = (fun(zp)[0] - fun(zm)[0]) / (2 * h)
+            scale = np.maximum(np.abs(fd), 1e-6)
+            assert np.max(np.abs(grad - fd) / scale) < 1e-5
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    @pytest.mark.parametrize("family, nu", FAMILIES)
+    def test_fit_lies_inside_the_bounds(self, monkeypatch, family, nu, branch):
+        for obs, z, s2_free in self.cases(family, nu):
+            bounds = self.bounds_for(branch, s2_free, math.exp(z[-1]))
+            _, (kernel, noise) = self.objective(monkeypatch, obs, family, nu, bounds)
+            (s_lo, s_hi), (l_lo, l_hi) = bounds.signal_variance, bounds.length_scale
+            assert s_lo <= kernel.signal_variance <= s_hi
+            assert np.all((l_lo <= kernel.length_scales) & (kernel.length_scales <= l_hi))
+            assert bounds.noise_variance[0] <= noise <= bounds.noise_variance[1]
+
+    @pytest.mark.parametrize("family, nu", FAMILIES)
+    def test_noiseless_data_fit_inside_the_default_bounds(self, family, nu):
+        """Noiseless data drive the noise to or near its lower bound, which
+        then sets s2."""
+        rng = np.random.default_rng(101)
+        X = rng.uniform(0, 1, (12, 2))
+        obs = ObservationSet(X, np.sin(3 * X[:, 0]) + X[:, 1] ** 2)
+        b = HyperBounds()
+        kernel, noise = optimize_hypers(obs, family=family, nu=nu, n_restarts=3)
+        assert b.signal_variance[0] <= kernel.signal_variance <= b.signal_variance[1]
+        assert np.all((b.length_scale[0] <= kernel.length_scales)
+                      & (kernel.length_scales <= b.length_scale[1]))
+        assert b.noise_variance[0] <= noise <= b.noise_variance[1]
 
 
 class TestLbfgsb:
@@ -815,9 +964,10 @@ class TestLbfgsb:
         options = {"maxiter": gp_module.LBFGS_MAXITER}
         res = minimize(counted, z0, jac=True, method="L-BFGS-B", bounds=Bounds(lo, hi), options=options)
         theirs, points[:] = points[:], []
-        f, x = gp_module._lbfgsb(counted, z0, lo, hi)
+        f, x, task = gp_module._lbfgsb(counted, z0, lo, hi)
         assert float(f).hex() == float(res.fun).hex()
         assert x.tobytes() == res.x.tobytes()
+        assert res.message.startswith(status_messages[task] + ":")
         assert points == theirs
         return res
 
@@ -865,8 +1015,9 @@ class TestLbfgsb:
     def test_abnormal_exit(self, monkeypatch, family, nu):
         """A noiseless design with two points 1e-9 apart: the jitter ladder
         switches on and off along the line searches, which then fail.  The
-        value reported is the failed trial's, which need not be ``fun(x)``."""
-        rng = np.random.default_rng(0)
+        value reported is the failed trial's, which need not be ``fun(x)``.
+        The design seed is one where every family ends a start ABNORMAL."""
+        rng = np.random.default_rng(1)
         X = rng.uniform(0, 1, (8, 2))
         X = np.vstack([X, X[3] + rng.uniform(-1e-9, 1e-9, 2)])
         obs = ObservationSet(X, np.sin(3 * X[:, 0]) + X[:, 1] ** 2)

@@ -20,7 +20,7 @@ from gpbo.loop import (
     run_bo,
     unit_cube,
 )
-from gpbo.objectives import sphere
+from gpbo.objectives import branin, recommended_space, sphere
 from gpbo.trace_io import TraceWriter, read_trace, traces_equal
 
 ISO = KernelSpec("sq_exp_iso")
@@ -400,12 +400,33 @@ class TestRefitSchedule:
 
         def failing_lbfgsb(fun, z0, lo, hi):
             starts.append(z0)
-            return 1e25, z0
+            return 1e25, z0, 4  # CONVERGENCE, as a start whose every evaluation fails ends
 
         monkeypatch.setattr(gp, "_lbfgsb", failing_lbfgsb)
         with pytest.raises(gp.FactorizationError):
             self.run(hyper_restarts=restarts)
         assert len(calls) == 1 and len(starts) == restarts
+
+
+def test_criterion_6_branin_seed_0_lbfgsb_work(monkeypatch, one_blas_thread):
+    """The L-BFGS-B work of one criterion-6 branin run (seed 0): its runs and
+    objective evaluations, pinned so that extra fitting work fails here
+    instead of hiding in timing noise.  Counts are for one BLAS thread."""
+    real = gp._lbfgsb
+    counts = {"runs": 0, "evaluations": 0}
+
+    def counted(fun, z0, lo, hi):
+        def fun_counted(z):
+            counts["evaluations"] += 1
+            return fun(z)
+
+        counts["runs"] += 1
+        return real(fun_counted, z0, lo, hi)
+
+    monkeypatch.setattr(gp, "_lbfgsb", counted)
+    cfg = BoConfig(budget=60, n_init=8, seed=0, acquisition=AcquisitionSpec("ei", xi=0.01))
+    run_bo(branin, recommended_space("branin"), cfg)
+    assert counts == {"runs": 104, "evaluations": 2325}
 
 
 def _run_bo(objective, space, budget, seed, direction=gp.MINIMIZE, trace_writer=None):
