@@ -42,8 +42,9 @@ def _to_json(value):
 
 def _admits(t, value) -> bool:
     """Whether a JSON value may fill a field of type ``t``: no fraction for an int, no
-    boolean, NaN or infinity for a number, only an array for an array or a tuple.
-    Nested configs leave all but null to the constructor, and so do array elements."""
+    boolean, NaN or infinity for a number, only an array without booleans for an array
+    or a tuple.  Nested configs leave all but null to the constructor, and so do the
+    other checks on array elements."""
     if t is int or t is float:
         if isinstance(value, float):
             return t is float and math.isfinite(value)
@@ -51,7 +52,7 @@ def _admits(t, value) -> bool:
     if t in (str, dict, type(None)):
         return isinstance(value, t)
     if t is np.ndarray or typing.get_origin(t) is tuple:
-        return isinstance(value, list)
+        return isinstance(value, list) and not any(isinstance(v, bool) for v in value)
     return value is not None
 
 

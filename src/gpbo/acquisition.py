@@ -69,11 +69,16 @@ def _check_finite(*vals) -> None:
             raise AcquisitionError("non-finite acquisition input")
 
 
-def _check_sigma(sigma) -> np.ndarray:
+def _checked(core, mu, sigma, *params):
+    """``core(mu, sigma, *params)`` on float arrays, once sigma >= 0 and every
+    input is finite; a float for 0-d input."""
+    mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if (sigma < 0).any():
         raise AcquisitionError("sigma must be nonnegative")
-    return sigma
+    _check_finite(mu, sigma, *params)
+    out = core(mu, sigma, *params)
+    return out if out.ndim else float(out)
 
 
 def probability_of_improvement(mu, sigma, f_best, xi: float = 0.0):
@@ -81,11 +86,7 @@ def probability_of_improvement(mu, sigma, f_best, xi: float = 0.0):
 
     The sigma = 0 limit is 1 when mu strictly exceeds f_best + xi, else 0.
     """
-    mu = np.asarray(mu, dtype=float)
-    sigma = _check_sigma(sigma)
-    _check_finite(mu, sigma, f_best, xi)
-    p = _pi(mu, sigma, f_best, xi)
-    return p if p.ndim else float(p)
+    return _checked(_pi, mu, sigma, f_best, xi)
 
 
 def _pi(mu, sigma, f_best, xi):
@@ -102,11 +103,7 @@ def expected_improvement(mu, sigma, f_best, xi: float = 0.0):
     Z = (mu - f_best - xi) / sigma; degenerates to max(0, mu - f_best - xi)
     at sigma = 0.  Always nonnegative.
     """
-    mu = np.asarray(mu, dtype=float)
-    sigma = _check_sigma(sigma)
-    _check_finite(mu, sigma, f_best, xi)
-    ei = _ei(mu, sigma, f_best, xi)
-    return ei if ei.ndim else float(ei)
+    return _checked(_ei, mu, sigma, f_best, xi)
 
 
 def _ei(mu, sigma, f_best, xi):
@@ -121,18 +118,12 @@ def _ei(mu, sigma, f_best, xi):
 
 def confidence_bound(mu, sigma, upsilon: float, direction: str = "lower"):
     """mu - upsilon * sigma (lower) or mu + upsilon * sigma (upper)."""
-    mu = np.asarray(mu, dtype=float)
-    sigma = _check_sigma(sigma)
-    _check_finite(mu, sigma, upsilon)
     if upsilon < 0:
         raise AcquisitionError("upsilon must be nonnegative")
-    if direction == "lower":
-        out = mu - upsilon * sigma
-    elif direction == "upper":
-        out = _ucb(mu, sigma, upsilon)
-    else:
+    if direction not in ("lower", "upper"):
         raise AcquisitionError(f"direction must be 'lower' or 'upper', got {direction!r}")
-    return out if out.ndim else float(out)
+    # a - b is a + (-b) in IEEE arithmetic, signed zeros included
+    return _checked(_ucb, mu, sigma, upsilon if direction == "upper" else -upsilon)
 
 
 def _ucb(mu, sigma, upsilon):
@@ -147,11 +138,7 @@ def score(spec: AcquisitionSpec, mu, sigma, f_best, iteration: int = 0):
     has been folded into the internal maximization convention both reduce to
     the upper bound mu + upsilon * sigma.
     """
-    mu = np.asarray(mu, dtype=float)
-    sigma = _check_sigma(sigma)
-    _check_finite(mu, sigma)
-    out = _scorer(spec, f_best, iteration)(mu, sigma)
-    return out if out.ndim else float(out)
+    return _checked(_scorer(spec, f_best, iteration), mu, sigma)
 
 
 def _scorer(spec: AcquisitionSpec, f_best: float, iteration: int = 0):

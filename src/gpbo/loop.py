@@ -22,7 +22,8 @@ import numpy as np
 
 from . import gp
 from ._json import JsonCodec
-from .acquisition import AcquisitionError, AcquisitionSpec, _scorer, score
+from .acquisition import AcquisitionError, AcquisitionSpec, _scorer
+from .acquisition import score  # noqa: F401 -- a call site that perfbench/spans.py traces by name
 from .gp import (
     GpPosterior,
     HyperBounds,
@@ -30,7 +31,7 @@ from .gp import (
     _LatentBlocks,
     fit_posterior,
     optimize_hypers,
-    predict,
+    predict,  # noqa: F401 -- a call site that perfbench/spans.py traces by name
 )
 from .kernels import MATERN, KernelSpec
 
@@ -236,46 +237,27 @@ def halton_points(space: SearchSpace, n: int, seed) -> np.ndarray:
     return U.T * (space.upper - space.lower) + space.lower
 
 
-def _score_points(
-    post: GpPosterior, acq: AcquisitionSpec, X, f_best: float, iteration: int
-) -> np.ndarray:
-    pred = predict(post, X)
-    return np.asarray(
-        score(acq, pred.mean, np.sqrt(pred.variance), f_best, iteration)
-    ).reshape(-1)
-
-
-def _pattern_trials(
-    post: GpPosterior, acq: AcquisitionSpec, space: SearchSpace, f_best: float, iteration: int
+def _acquisition_values(
+    post: GpPosterior, acq: AcquisitionSpec, f_best: float, iteration: int, m: int
 ):
-    """Scorer of the pattern search's 2d trial points around a point ``x``.
+    """The acquisition at m points at a time on one posterior.
 
-    ``trials(x, step)`` returns the trial array, where trial 2j steps
-    coordinate j of ``x`` up by ``step[j]`` and trial 2j + 1 steps it down,
-    clamped to the box, and the trials' scores.  It runs ``predict``'s and
-    ``score``'s arithmetic, with the same bits, in buffers made once per
-    proposal; the next call overwrites the trial array.
+    ``values(X)`` scores finite (m, d) ``X`` by ``predict``'s and ``score``'s
+    arithmetic, with the same bits, in buffers made once.  The incumbent and
+    margin are checked here, once; each call checks its mean and sigma.
     """
-    d = space.dimension
-    trial = np.empty((2 * d, d))
-    flat = trial.reshape(-1)
-    up = np.arange(d) * (2 * d + 1)  # flat index of trial 2j's coordinate j
-    down = up + d  # and of trial 2j + 1's
-    latent = _LatentBlocks(post, 2 * d)
+    latent = _LatentBlocks(post, m)
     mean, sigma = latent.out
     acquisition = _scorer(acq, f_best, iteration)
 
-    def trials(x: np.ndarray, step: np.ndarray):
-        trial[...] = x
-        flat[up] = np.minimum(x + step, space.upper)
-        flat[down] = np.maximum(x - step, space.lower)
-        latent(trial)
+    def values(X: np.ndarray) -> np.ndarray:
+        latent(X)
         np.sqrt(sigma, out=sigma)
         if not np.isfinite(latent.out).all():
             raise AcquisitionError("non-finite acquisition input")
-        return trial, acquisition(mean, sigma)
+        return acquisition(mean, sigma)
 
-    return trials
+    return values
 
 
 def propose_next(
@@ -299,16 +281,26 @@ def propose_next(
     """
     if space.dimension != post.dimension:
         raise LoopError("search space dimension does not match the posterior")
+    d = space.dimension
     cands = halton_points(space, candidate_count, seed)
-    vals = _score_points(post, acq, cands, f_best, iteration)
+    vals = _acquisition_values(post, acq, f_best, iteration, candidate_count)(cands)
     best_i = int(np.argmax(vals))
     best_x, best_v = cands[best_i].copy(), float(vals[best_i])
 
-    trials = _pattern_trials(post, acq, space, f_best, iteration)
+    # trial 2j steps coordinate j of best_x up by step[j] and trial 2j + 1
+    # steps it down, clamped to the box
+    trial_values = _acquisition_values(post, acq, f_best, iteration, 2 * d)
+    trial = np.empty((2 * d, d))
+    flat = trial.reshape(-1)
+    up = np.arange(d) * (2 * d + 1)  # flat index of trial 2j's coordinate j
+    down = up + d  # and of trial 2j + 1's
     step = 0.1 * space.widths
     min_step = 1e-12 * space.widths
     for _ in range(refine_iters):
-        trial, tvals = trials(best_x, step)
+        trial[...] = best_x
+        flat[up] = np.minimum(best_x + step, space.upper)
+        flat[down] = np.maximum(best_x - step, space.lower)
+        tvals = trial_values(trial)
         ti = int(tvals.argmax())
         if tvals[ti] > best_v:
             best_x, best_v = trial[ti].copy(), float(tvals[ti])

@@ -79,7 +79,8 @@ def read_trace(path) -> Trace:
     """Read a trace CSV back.
 
     Fields not persisted in the CSV (incumbent point, GP hyperparameters)
-    come back as ``None``.
+    come back as ``None``.  A row's point, ``y`` and ``inc_f`` must be
+    finite; ``acq_value`` is NaN on initialization rows.
     """
     import numpy as np
 
@@ -108,6 +109,8 @@ def read_trace(path) -> Trace:
                 y, inc_f, acq, wall = (float(v) for v in row[1 + d :])
             except ValueError as e:
                 raise TraceFormatError(f"row {lineno}: {e}") from None
+            if not (np.isfinite(x).all() and math.isfinite(y) and math.isfinite(inc_f)):
+                raise TraceFormatError(f"row {lineno}: non-finite x, y or inc_f")
             trace.append(
                 TraceRecord(
                     iteration=it,
@@ -122,24 +125,3 @@ def read_trace(path) -> Trace:
             )
     return trace
 
-
-def traces_equal(a: Trace, b: Trace) -> bool:
-    """Equality on the CSV-persisted fields (NaN compares equal to NaN)."""
-
-    def feq(u, v):
-        return (math.isnan(u) and math.isnan(v)) or u == v
-
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if ra.iteration != rb.iteration or len(ra.x) != len(rb.x):
-            return False
-        if not all(feq(u, v) for u, v in zip(ra.x, rb.x)):
-            return False
-        if not (feq(ra.y, rb.y) and feq(ra.incumbent_f, rb.incumbent_f)):
-            return False
-        if not feq(ra.acq_value, rb.acq_value):
-            return False
-        if not feq(ra.wall_ms, rb.wall_ms):
-            return False
-    return True

@@ -4,6 +4,7 @@ import ctypes
 import glob
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy
 
@@ -26,3 +27,21 @@ def one_blas_thread():
         yield
     finally:
         lib.scipy_openblas_set_num_threads(threads)
+
+
+@pytest.fixture
+def traces_equal():
+    """Equality of two traces on the fields the trace CSV keeps, with NaN
+    equal to NaN."""
+
+    def persisted(trace):
+        return [np.array([r.iteration, *r.x, r.y, r.incumbent_f, r.acq_value, r.wall_ms])
+                for r in trace]
+
+    def equal(a, b) -> bool:
+        rows_a, rows_b = persisted(a), persisted(b)
+        return len(rows_a) == len(rows_b) and all(
+            np.array_equal(u, v, equal_nan=True) for u, v in zip(rows_a, rows_b)
+        )
+
+    return equal

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpbo.acquisition import (
@@ -145,6 +145,17 @@ class TestConfidenceBound:
         ucb = confidence_bound(mu, sigma, upsilon, "upper")
         assert ucb == -confidence_bound(-mu, sigma, upsilon, "lower")
         assert lcb <= mu <= ucb
+
+    @given(mu=finite | st.sampled_from([0.0, -0.0]), sigma=nonneg, upsilon=st.floats(0, 10))
+    @example(mu=-0.0, sigma=0.0, upsilon=0.0)
+    @example(mu=0.0, sigma=0.0, upsilon=1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_lower_has_the_bits_of_mu_minus_upsilon_sigma(self, mu, sigma, upsilon):
+        assert (np.float64(confidence_bound(mu, sigma, upsilon, "lower")).tobytes()
+                == np.float64(mu - upsilon * sigma).tobytes())
+        mus, sigmas = np.array([mu, -mu]), np.array([sigma, sigma])
+        lcb = confidence_bound(mus, sigmas, upsilon, "lower")
+        assert lcb.tobytes() == (mus - upsilon * sigmas).tobytes()
 
     def test_bad_direction_raises(self):
         with pytest.raises(AcquisitionError):

@@ -406,6 +406,22 @@ class TestSample:
         assert str(trace_path) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "row", ["1,0.5,inf,inf,0.1,2.0", "1,nan,0.2,0.05,0.1,2.0"], ids=["y-inf", "x-nan"]
+    )
+    def test_non_finite_trace_row_is_config_error(self, tmp_path, capsys, row):
+        trace_path = tmp_path / "trace.csv"
+        header = "iter,x_0,y,inc_f,acq_value,wall_ms\n"
+        trace_path.write_text(f"{header}0,0.1,0.05,0.05,nan,1.0\n{row}\n")
+        cfg = write_config(
+            tmp_path, space={"lower": [0.0], "upper": [1.0]}, sample={"kernel": SAMPLE_KERNEL}
+        )
+        out = tmp_path / "samples.csv"
+        rc = main(["sample", "--config", str(cfg), "--trace", str(trace_path), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "row 3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "command, key, value, flags",
@@ -426,6 +442,9 @@ class TestSample:
         ("baseline", "objective.command", "python3 demos/sphere_worker.py", []),
         ("baseline", "objective.command", [1, 2], []),
         ("run", "space.lower", "abc", []),
+        ("run", "space.lower", [False, 0], []),
+        ("run", "bo.hyper_bounds", {"signal_variance": [True, 100]}, []),
+        ("run", "bo.fixed_kernel", {"family": "sq_exp_iso", "length_scales": [True]}, []),
         ("run", "bo.hyper_restarts", 0, []),
         ("run", "bo.noise_variance", math.nan, []),
         ("run", "bo.acquisition", {"xi": math.nan}, []),

@@ -594,6 +594,10 @@ class TestLogMarginalLikelihood:
 
 
 class TestOptimizeHypers:
+    def test_json_boolean_bound_rejected(self):
+        with pytest.raises(GpError, match="signal_variance"):
+            HyperBounds.from_json_dict({"signal_variance": [True, 100]})
+
     def test_result_beats_every_restart_start(self):
         rng = np.random.default_rng(43)
         obs, _, noise, _ = random_instance(rng, n=15, d=2)

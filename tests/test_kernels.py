@@ -217,6 +217,8 @@ class TestSpecValidation:
             obj = json.loads(json.dumps(spec.to_json_dict()))
             assert set(obj) == {"family", "signal_variance", "length_scales", "nu"}
             assert KernelSpec.from_json_dict(obj) == spec
+        with pytest.raises(KernelError, match="length_scales"):  # JSON true is not 1
+            KernelSpec.from_json_dict({"family": "sq_exp_iso", "length_scales": [True]})
 
 
 def test_cross_covariance_matches_pointwise():

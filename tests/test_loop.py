@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from gpbo import gp, loop
-from gpbo.acquisition import AcquisitionSpec, expected_improvement, score
+from gpbo.acquisition import AcquisitionError, AcquisitionSpec, expected_improvement, score
 from gpbo.baseline import random_search_baseline
 from gpbo.gp import HyperBounds, ObservationSet, fit_posterior, predict
 from gpbo.kernels import KernelSpec
@@ -21,7 +22,7 @@ from gpbo.loop import (
     unit_cube,
 )
 from gpbo.objectives import branin, recommended_space, sphere
-from gpbo.trace_io import TraceWriter, read_trace, traces_equal
+from gpbo.trace_io import TraceWriter, read_trace
 
 ISO = KernelSpec("sq_exp_iso")
 
@@ -55,6 +56,8 @@ class TestSearchSpace:
         assert np.array_equal(ints.lower, space.lower) and ints.lower.dtype == float
         with pytest.raises(LoopError, match="lower"):
             SearchSpace.from_json_dict({"lower": None, "upper": [10.0]})
+        with pytest.raises(LoopError, match="lower"):  # JSON false is not 0
+            SearchSpace.from_json_dict({"lower": [False, 0], "upper": [1.0, 1.0]})
 
 
 class TestIncumbent:
@@ -204,6 +207,12 @@ class TestProposeNext:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(LoopError):
             propose_next(self.post, self.acq, unit_cube(2), 16, 0, 0, f_best=0.0)
+
+    @pytest.mark.parametrize("family", ["ei", "pi", "ucb"])
+    def test_non_finite_posterior_raises(self, family):
+        post = dataclasses.replace(self.post, alpha=np.full_like(self.post.alpha, np.inf))
+        with pytest.raises(AcquisitionError, match="non-finite"):
+            propose_next(post, AcquisitionSpec(family), self.space, 16, 4, 0, f_best=0.0)
 
 
 def reference_propose_next(post, acq, space, candidate_count, refine_iters, seed, f_best):
@@ -443,7 +452,9 @@ class TestDriver:
     """The evaluate-and-record path that ``run_bo`` and random search share."""
 
     @BOTH_PROPOSERS
-    def test_non_finite_objective_aborts_with_partial_trace(self, optimizer, tmp_path):
+    def test_non_finite_objective_aborts_with_partial_trace(
+        self, optimizer, tmp_path, traces_equal
+    ):
         calls = {"n": 0}
 
         def bad(x):

@@ -9,7 +9,6 @@ from gpbo.trace_io import (
     TraceFormatError,
     TraceWriter,
     read_trace,
-    traces_equal,
     write_trace,
 )
 
@@ -38,7 +37,7 @@ def make_trace(n=5, d=2, seed=0):
 
 
 class TestRoundTrip:
-    def test_write_then_read_equal(self, tmp_path):
+    def test_write_then_read_equal(self, tmp_path, traces_equal):
         trace = make_trace()
         path = tmp_path / "trace.csv"
         write_trace(trace, path)
@@ -117,9 +116,19 @@ class TestMalformed:
         with pytest.raises(TraceFormatError):
             read_trace(p)
 
+    @pytest.mark.parametrize(
+        "row", ["1,nan,2.0,2.0,0.1,1", "1,0.5,inf,2.0,0.1,1", "1,0.5,2.0,-inf,0.1,1"],
+        ids=["x", "y", "inc_f"],
+    )
+    def test_non_finite_point_or_value(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"iter,x_0,y,inc_f,acq_value,wall_ms\n0,0.1,2.0,2.0,nan,1\n{row}\n")
+        with pytest.raises(TraceFormatError, match="row 3"):
+            read_trace(p)
+
 
 class TestIncrementalWriter:
-    def test_each_row_flushed(self, tmp_path):
+    def test_each_row_flushed(self, tmp_path, traces_equal):
         path = tmp_path / "inc.csv"
         trace = make_trace(n=3, d=1)
         with TraceWriter(path, dimension=1) as w:
