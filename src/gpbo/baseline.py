@@ -19,12 +19,14 @@ def random_search_baseline(
 ) -> Trace:
     """budget uniform evaluations in the box; deterministic given seed.
 
+    Each point is a uniform draw in the unit cube mapped by
+    ``space.from_unit``: the bits of ``rng.uniform(lower, upper)``.
     Evaluation, recording and failure handling are those of
     :func:`gpbo.loop.drive`, which ``run_bo`` shares.
     """
     rng = np.random.default_rng(seed)
 
     def propose(it, X_seen, y_seen):
-        return rng.uniform(space.lower, space.upper), float("nan"), None
+        return space.from_unit(rng.random(space.dimension)), float("nan"), None
 
     return drive(objective, propose, space.dimension, budget, direction, trace_writer)

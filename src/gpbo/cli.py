@@ -251,7 +251,7 @@ def _cmd_sample(args) -> int:
     flags = {k: v for k, v in (("n_draws", args.draws), ("seed", args.seed)) if v is not None}
     sample = replace(cfg.sample, **flags)
     space = _space_from_config(cfg, None)
-    X = halton_points(space, sample.n_points, sample.seed)
+    X = space.from_unit(halton_points(space.dimension, sample.n_points, sample.seed))
     order = np.argsort(X[:, 0]) if space.dimension == 1 else np.arange(sample.n_points)
     X = X[order]
     if args.trace:

@@ -35,7 +35,7 @@ from .gp import (
 )
 from .kernels import MATERN, KernelSpec
 
-#: training-point proximity (scaled units) below which a noiseless proposal
+#: training-point proximity (unit-cube units) below which a noiseless proposal
 #: is treated as a duplicate and replaced
 DUPLICATE_TOL = 1e-9
 
@@ -90,10 +90,6 @@ class SearchSpace(JsonCodec, error=LoopError):
 
     def from_unit(self, U) -> np.ndarray:
         return self.lower + np.asarray(U, dtype=float) * self.widths
-
-
-def unit_cube(dimension: int) -> SearchSpace:
-    return SearchSpace(np.zeros(dimension), np.ones(dimension))
 
 
 @dataclass(frozen=True)
@@ -200,21 +196,21 @@ def _first_primes(count: int) -> list[int]:
     return primes
 
 
-def halton_points(space: SearchSpace, n: int, seed) -> np.ndarray:
-    """n scrambled-Halton points inside the box; deterministic given seed.
+def halton_points(dimension: int, n: int, seed) -> np.ndarray:
+    """n scrambled-Halton points in [0, 1)^dimension; deterministic given seed.
 
     Axis k is the van der Corput sequence in the k-th prime base, scrambled
     by Owen's random digit permutations (A. B. Owen 2017, "A randomized
     Halton algorithm in R", arXiv:1706.02808).  The output has the bits of
-    scipy 1.17's ``qmc.Halton(d, scramble=True, seed=seed)`` scaled to the
-    box: the same ``Generator.shuffle`` draws from
-    ``np.random.default_rng(seed)`` and the same digit-by-digit sums.
+    scipy 1.17's ``qmc.Halton(d, scramble=True, seed=seed)``: the same
+    ``Generator.shuffle`` draws from ``np.random.default_rng(seed)`` and the
+    same digit-by-digit sums.  ``SearchSpace.from_unit`` maps them to a box.
     """
     if n < 1:
         raise LoopError("need at least one point")
     rng = np.random.default_rng(seed)
-    U = np.empty((space.dimension, n))
-    for row, b in zip(U, _first_primes(space.dimension)):
+    U = np.empty((dimension, n))
+    for row, b in zip(U, _first_primes(dimension)):
         # one permutation per digit j whose weight b**-(j + 1) is above 2**-54
         perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, 0)
         for perm in perms:
@@ -234,7 +230,7 @@ def halton_points(space: SearchSpace, n: int, seed) -> np.ndarray:
         for digit0 in perms[j:, 0].tolist():
             row += digit0 * b2r
             b2r /= b
-    return U.T * (space.upper - space.lower) + space.lower
+    return U.T
 
 
 def _acquisition_values(
@@ -263,61 +259,56 @@ def _acquisition_values(
 def propose_next(
     post: GpPosterior,
     acq: AcquisitionSpec,
-    space: SearchSpace,
     candidate_count: int,
     refine_iters: int,
     seed,
     f_best: float,
     iteration: int = 0,
 ) -> tuple[np.ndarray, float]:
-    """Maximize the acquisition over the box (maximization convention).
+    """Maximize the acquisition over the unit cube (maximization convention).
 
     Scores ``candidate_count`` scrambled-Halton candidates, then refines the
-    best by coordinate-wise pattern search clamped to the box.  The returned
+    best by coordinate-wise pattern search clamped to [0, 1].  The returned
     value never falls below the best raw candidate's.  When the model is
     noiseless, a proposal that coincides with a training point (within
-    ``DUPLICATE_TOL`` in box-scaled units) is replaced by the best
-    non-duplicate candidate to keep the next Gram matrix non-singular.
+    ``DUPLICATE_TOL``) is replaced by the best non-duplicate candidate to
+    keep the next Gram matrix non-singular.
     """
-    if space.dimension != post.dimension:
-        raise LoopError("search space dimension does not match the posterior")
-    d = space.dimension
-    cands = halton_points(space, candidate_count, seed)
+    d = post.dimension
+    cands = halton_points(d, candidate_count, seed)
     vals = _acquisition_values(post, acq, f_best, iteration, candidate_count)(cands)
     best_i = int(np.argmax(vals))
     best_x, best_v = cands[best_i].copy(), float(vals[best_i])
 
-    # trial 2j steps coordinate j of best_x up by step[j] and trial 2j + 1
-    # steps it down, clamped to the box
+    # trial 2j steps coordinate j of best_x up by step and trial 2j + 1
+    # steps it down, clamped to the cube
     trial_values = _acquisition_values(post, acq, f_best, iteration, 2 * d)
     trial = np.empty((2 * d, d))
     flat = trial.reshape(-1)
     up = np.arange(d) * (2 * d + 1)  # flat index of trial 2j's coordinate j
     down = up + d  # and of trial 2j + 1's
-    step = 0.1 * space.widths
-    min_step = 1e-12 * space.widths
+    step = 0.1
     for _ in range(refine_iters):
         trial[...] = best_x
-        flat[up] = np.minimum(best_x + step, space.upper)
-        flat[down] = np.maximum(best_x - step, space.lower)
+        flat[up] = np.minimum(best_x + step, 1.0)
+        flat[down] = np.maximum(best_x - step, 0.0)
         tvals = trial_values(trial)
         ti = int(tvals.argmax())
         if tvals[ti] > best_v:
             best_x, best_v = trial[ti].copy(), float(tvals[ti])
         else:
-            step = np.maximum(step / 2.0, min_step)
+            step = max(step / 2.0, 1e-12)
 
-    if post.noise_variance == 0.0 and _is_duplicate(post, space, best_x):
+    if post.noise_variance == 0.0 and _is_duplicate(post, best_x):
         order = np.argsort(-vals)
         for i in order:
-            if not _is_duplicate(post, space, cands[i]):
+            if not _is_duplicate(post, cands[i]):
                 return cands[i].copy(), float(vals[i])
     return best_x, best_v
 
 
-def _is_duplicate(post: GpPosterior, space: SearchSpace, x: np.ndarray) -> bool:
-    scaled = (post.train_X - x) / space.widths
-    return bool(np.any(np.linalg.norm(scaled, axis=1) < DUPLICATE_TOL))
+def _is_duplicate(post: GpPosterior, x: np.ndarray) -> bool:
+    return bool(np.any(np.linalg.norm(post.train_X - x, axis=1) < DUPLICATE_TOL))
 
 
 def _child_seed(root: int, index: int) -> int:
@@ -394,7 +385,7 @@ def run_bo(objective, space: SearchSpace, config: BoConfig, trace_writer=None) -
         config.fixed_kernel.check_dimension(d)
     n_init = config.resolved_n_init(d)
     sign = -1.0 if config.direction == gp.MINIMIZE else 1.0
-    init_X = halton_points(space, n_init, _child_seed(config.seed, 0))
+    init_X = space.from_unit(halton_points(d, n_init, _child_seed(config.seed, 0)))
     prev_fit: tuple[KernelSpec, float] | None = None
 
     def propose(it: int, X_seen: np.ndarray, y_seen: np.ndarray):
@@ -435,7 +426,6 @@ def run_bo(objective, space: SearchSpace, config: BoConfig, trace_writer=None) -
         x_unit, acq_value = propose_next(
             post,
             config.acquisition,
-            unit_cube(d),
             config.resolved_candidate_count(d),
             config.refine_iters,
             _child_seed(config.seed, 2 * it + 2),

@@ -12,6 +12,8 @@ import contextlib
 import csv
 import math
 
+import numpy as np
+
 from .loop import Trace, TraceRecord
 
 
@@ -23,6 +25,10 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _header(dimension: int) -> list[str]:
+    return ["iter", *(f"x_{j}" for j in range(dimension)), "y", "inc_f", "acq_value", "wall_ms"]
+
+
 class TraceWriter:
     """Incremental writer; each ``write`` appends one flushed row."""
 
@@ -30,13 +36,8 @@ class TraceWriter:
         self.dimension = dimension
         self._fh = open(path, "w", encoding="utf-8", newline="")
         self._writer = csv.writer(self._fh, lineterminator="\n")
-        header = (
-            ["iter"]
-            + [f"x_{j}" for j in range(dimension)]
-            + ["y", "inc_f", "acq_value", "wall_ms"]
-        )
         try:
-            self._writer.writerow(header)
+            self._writer.writerow(_header(dimension))
             self._fh.flush()
         except OSError:
             # no writer is returned to close the file, so close it here; its
@@ -82,8 +83,6 @@ def read_trace(path) -> Trace:
     come back as ``None``.  A row's point, ``y`` and ``inc_f`` must be
     finite; ``acq_value`` is NaN on initialization rows.
     """
-    import numpy as np
-
     trace = Trace()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -91,15 +90,9 @@ def read_trace(path) -> Trace:
             header = next(reader)
         except StopIteration:
             raise TraceFormatError("empty file: missing header")
-        if (
-            len(header) < 5
-            or header[0] != "iter"
-            or header[-4:] != ["y", "inc_f", "acq_value", "wall_ms"]
-        ):
+        d = len(header) - 5  # below 0 for a short header, which _header(d)'s 5 names then fail
+        if header != _header(d):
             raise TraceFormatError(f"unexpected header {header!r}")
-        d = len(header) - 5
-        if [h for h in header[1 : 1 + d]] != [f"x_{j}" for j in range(d)]:
-            raise TraceFormatError(f"unexpected coordinate columns in {header!r}")
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise TraceFormatError(f"row {lineno}: expected {len(header)} fields")

@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpbo import cli
+from gpbo import cli, gp
 from gpbo._json import JsonCodec
 from gpbo.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OBJECTIVE, EXIT_OK, main
+from gpbo.gp import FactorizationError
+from gpbo.objectives import builtin_function
 from gpbo.trace_io import read_trace
 
 SPHERE_WORKER = Path(__file__).resolve().parents[1] / "demos" / "sphere_worker.py"
@@ -66,6 +68,33 @@ class TestRun:
         assert len(read_trace(trace_path)) == 6
         echo = json.loads(capsys.readouterr().out)["config"]
         assert echo["bo"]["budget"] == 6 and echo["bo"]["seed"] == 3
+
+    def test_objective_flag_overrides_the_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        trace_path = tmp_path / "t.csv"
+        rc = main(
+            ["run", "--config", str(cfg), "--objective", "rosenbrock", "--budget", "6",
+             "--trace", str(trace_path)]
+        )
+        assert rc == EXIT_OK
+        echo = json.loads(capsys.readouterr().out)["config"]
+        assert echo["objective"]["name"] == "rosenbrock"
+        rosenbrock = builtin_function("rosenbrock")
+        assert all(rec.y == rosenbrock(rec.x) for rec in read_trace(trace_path))
+
+    def test_factorization_failure_exits_4_with_partial_trace(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_factor(K, scale):
+            raise FactorizationError("stub")
+
+        monkeypatch.setattr(gp, "_chol_with_jitter", no_factor)
+        cfg = write_config(tmp_path)
+        trace_path = tmp_path / "t.csv"
+        rc = main(["run", "--config", str(cfg), "--trace", str(trace_path)])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure")
+        assert len(read_trace(trace_path)) == 5  # the n_init rows, before the first refit
 
     def test_external_worker_run(self, tmp_path, capsys):
         cfg = write_config(
@@ -251,6 +280,20 @@ class TestBaseline:
         rc = main(["baseline", "--config", str(cfg), "--budget", "5"])
         assert rc == EXIT_OBJECTIVE
         assert "iteration 0 is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "response", ["[1]", '{"y": true}', '{"z": 1}'], ids=["array", "boolean-y", "no-y"]
+    )
+    def test_response_without_a_numeric_y_exits_3(self, tmp_path, capsys, response):
+        worker = tmp_path / "no_y_worker.py"
+        worker.write_text(f"import sys\nfor line in sys.stdin:\n    print({response!r}, flush=True)\n")
+        objective = {"kind": "external", "command": [sys.executable, str(worker)]}
+        cfg = write_config(tmp_path, objective=objective)
+        trace_path = tmp_path / "rs.csv"
+        rc = main(["baseline", "--config", str(cfg), "--budget", "5", "--trace", str(trace_path)])
+        assert rc == EXIT_OBJECTIVE
+        assert capsys.readouterr().err.startswith("objective error: response ")
+        assert len(read_trace(trace_path)) == 0
 
     def test_summary_path_from_config(self, tmp_path, capsys):
         summary_path = tmp_path / "rs-summary.json"

@@ -69,6 +69,30 @@ class TestPersistentWorker:
                 obj([0.5])
             assert err.value.iteration == 0
 
+    @pytest.mark.parametrize(
+        "response, message",
+        [
+            ("[1]", "not a JSON object"),
+            ('{"y": true}', "missing numeric 'y'"),
+            ('{"z": 1}', "missing numeric 'y'"),
+        ],
+        ids=["array", "boolean-y", "no-y"],
+    )
+    def test_response_without_a_numeric_y_is_protocol_error(self, tmp_path, response, message):
+        # the first request gets a good answer, so the error names iteration 1
+        worker = write_worker(
+            tmp_path,
+            "sys.stdin.readline()\n"
+            "print(json.dumps({'y': 1.0}), flush=True)\n"
+            "for line in sys.stdin:\n"
+            f"    print({response!r}, flush=True)\n",
+        )
+        with ExternalObjective(worker_spec(worker)) as obj:
+            assert obj([0.5]) == 1.0
+            with pytest.raises(ProtocolError, match=message) as err:
+                obj([0.5])
+            assert err.value.iteration == 1
+
     def test_non_finite_response(self, tmp_path):
         worker = write_worker(
             tmp_path,

@@ -19,12 +19,15 @@ from gpbo.loop import (
     incumbent,
     propose_next,
     run_bo,
-    unit_cube,
 )
 from gpbo.objectives import branin, recommended_space, sphere
 from gpbo.trace_io import TraceWriter, read_trace
 
 ISO = KernelSpec("sq_exp_iso")
+
+
+def unit_cube(dimension):
+    return SearchSpace(np.zeros(dimension), np.ones(dimension))
 
 
 def sphere_config(budget=25, seed=0, **kw):
@@ -91,7 +94,7 @@ class TestIncumbent:
             incumbent(ObservationSet(np.empty((0, 1)), np.empty(0)))
 
 
-#: halton_points(unit_cube(3), 5, seed=0), pinned bit for bit
+#: halton_points(3, 5, seed=0), pinned bit for bit
 HALTON_SEED0_D3_N5 = [
     ["0x1.9600b82ecb948p-4", "0x1.b9a95a7ee723ap-5", "0x1.33feaf0d8d01bp-2"],
     ["0x1.32c01705d9729p-1", "0x1.70efeafd43c79p-1", "0x1.66cc2453934dap-1"],
@@ -116,26 +119,25 @@ class TestHaltonPoints:
                 sizes |= {b**k - 1, b**k, b**k + 1}
         for n in sorted(sizes):
             for seed in (0, 1, 2**32 + 5, 2**64 - 1):
-                ours = halton_points(space, n, seed)
+                ours = space.from_unit(halton_points(d, n, seed))
                 ref = qmc.scale(qmc.Halton(d, scramble=True, seed=seed).random(n), lower, upper)
                 assert ours.tobytes() == ref.tobytes(), (n, seed)
 
     def test_golden_values(self):
         expected = np.array([[float.fromhex(v) for v in row] for row in HALTON_SEED0_D3_N5])
-        assert halton_points(unit_cube(3), 5, 0).tobytes() == expected.tobytes()
+        assert halton_points(3, 5, 0).tobytes() == expected.tobytes()
 
     def test_inside_the_box_with_one_point_per_stratum(self):
-        space = SearchSpace([-2.0, 10.0], [3.0, 11.0])
-        X = halton_points(space, 9, 4)
-        assert space.contains(X.min(axis=0)) and space.contains(X.max(axis=0))
+        U = halton_points(2, 9, 4)
+        assert U.min() >= 0.0 and U.max() < 1.0
         # 9 = 3**2 points put one point in each ninth of the base-3 axis
-        cells = np.floor(space.to_unit(X)[:, 1] * 9).astype(int)
+        cells = np.floor(U[:, 1] * 9).astype(int)
         assert sorted(cells) == list(range(9))
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_needs_a_point(self, n):
         with pytest.raises(LoopError):
-            halton_points(unit_cube(2), n, 0)
+            halton_points(2, n, 0)
 
 
 class TestUpdate:
@@ -168,20 +170,17 @@ class TestProposeNext:
     def setup_method(self):
         obs = ObservationSet([[0.5]], [0.0], direction=gp.MAXIMIZE)
         self.post = fit_posterior(obs, ISO, 0.0, prior_mean=0.0)
-        self.space = unit_cube(1)
         self.acq = AcquisitionSpec("ei", xi=0.0)
 
     def test_within_bounds_and_no_regression(self):
         for seed in range(10):
-            cands = halton_points(self.space, 256, seed)
+            cands = halton_points(1, 256, seed)
             pred = predict(self.post, cands)
             raw_best = np.max(
                 expected_improvement(pred.mean, np.sqrt(pred.variance), 0.0, 0.0)
             )
-            x, val = propose_next(
-                self.post, self.acq, self.space, 256, 16, seed, f_best=0.0
-            )
-            assert self.space.contains(x)
+            x, val = propose_next(self.post, self.acq, 256, 16, seed, f_best=0.0)
+            assert 0.0 <= x[0] <= 1.0
             assert val >= raw_best
 
     def test_explores_away_from_lone_observation(self):
@@ -190,9 +189,7 @@ class TestProposeNext:
         pred = predict(self.post, grid)
         ei = expected_improvement(pred.mean, np.sqrt(pred.variance), 0.0, 0.0)
         grid_best = float(np.max(ei))
-        x, val = propose_next(
-            self.post, self.acq, self.space, 1024, 32, seed=0, f_best=0.0
-        )
+        x, val = propose_next(self.post, self.acq, 1024, 32, seed=0, f_best=0.0)
         assert abs(x[0] - 0.5) >= 0.2
         assert abs(val - grid_best) < 1e-2
 
@@ -201,18 +198,14 @@ class TestProposeNext:
         acq = AcquisitionSpec("ucb", upsilon=0.0)
         obs = ObservationSet([[0.5]], [1.0], direction=gp.MAXIMIZE)
         post = fit_posterior(obs, ISO, 0.0, prior_mean=0.0)
-        x, _ = propose_next(post, acq, self.space, 128, 32, seed=3, f_best=1.0)
+        x, _ = propose_next(post, acq, 128, 32, seed=3, f_best=1.0)
         assert abs(x[0] - 0.5) > 1e-9
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(LoopError):
-            propose_next(self.post, self.acq, unit_cube(2), 16, 0, 0, f_best=0.0)
 
     @pytest.mark.parametrize("family", ["ei", "pi", "ucb"])
     def test_non_finite_posterior_raises(self, family):
         post = dataclasses.replace(self.post, alpha=np.full_like(self.post.alpha, np.inf))
         with pytest.raises(AcquisitionError, match="non-finite"):
-            propose_next(post, AcquisitionSpec(family), self.space, 16, 4, 0, f_best=0.0)
+            propose_next(post, AcquisitionSpec(family), 16, 4, 0, f_best=0.0)
 
 
 def reference_propose_next(post, acq, space, candidate_count, refine_iters, seed, f_best):
@@ -224,7 +217,7 @@ def reference_propose_next(post, acq, space, candidate_count, refine_iters, seed
         pred = predict(post, X)
         return np.asarray(score(acq, pred.mean, np.sqrt(pred.variance), f_best)).reshape(-1)
 
-    cands = halton_points(space, candidate_count, seed)
+    cands = halton_points(space.dimension, candidate_count, seed)
     vals = score_points(cands)
     best_i = int(np.argmax(vals))
     best_x, best_v = cands[best_i].copy(), float(vals[best_i])
@@ -241,9 +234,9 @@ def reference_propose_next(post, acq, space, candidate_count, refine_iters, seed
             best_x, best_v = trial[ti].copy(), float(tvals[ti])
         else:
             step = np.maximum(step / 2.0, min_step)
-    if post.noise_variance == 0.0 and loop._is_duplicate(post, space, best_x):
+    if post.noise_variance == 0.0 and loop._is_duplicate(post, best_x):
         for i in np.argsort(-vals):
-            if not loop._is_duplicate(post, space, cands[i]):
+            if not loop._is_duplicate(post, cands[i]):
                 return cands[i].copy(), float(vals[i]), True
     return best_x, best_v, False
 
@@ -279,10 +272,11 @@ class TestPatternSearchBits:
     @pytest.mark.parametrize("n", [1, 7, 40, 200])
     def test_same_bits_as_predict_and_score(self, one_blas_thread, n, d, family, nu, acq, noise):
         post, f_best = self.posterior(n, d, family, nu, noise)
-        space = unit_cube(d)
-        args = (post, ACQUISITIONS[acq], space, 64 * d, 32, n + d, f_best)
-        x, value = propose_next(*args)
-        want_x, want_value, _ = reference_propose_next(*args)
+        args = (64 * d, 32, n + d, f_best)
+        x, value = propose_next(post, ACQUISITIONS[acq], *args)
+        want_x, want_value, _ = reference_propose_next(
+            post, ACQUISITIONS[acq], unit_cube(d), *args
+        )
         assert x.tobytes() == want_x.tobytes()
         assert math.copysign(1.0, value) == math.copysign(1.0, want_value)
         assert value == want_value
@@ -290,9 +284,9 @@ class TestPatternSearchBits:
     def test_guarded_case_has_the_same_bits(self, one_blas_thread):
         obs = ObservationSet([[0.5]], [1.0], direction=gp.MAXIMIZE)
         post = fit_posterior(obs, ISO, 0.0, prior_mean=0.0)
-        args = (post, ACQUISITIONS["ucb-mean"], unit_cube(1), 128, 32, 3, 1.0)
-        x, value = propose_next(*args)
-        want_x, want_value, guarded = reference_propose_next(*args)
+        acq, args = ACQUISITIONS["ucb-mean"], (128, 32, 3, 1.0)
+        x, value = propose_next(post, acq, *args)
+        want_x, want_value, guarded = reference_propose_next(post, acq, unit_cube(1), *args)
         assert guarded
         assert x.tobytes() == want_x.tobytes() and value == want_value
 
@@ -358,6 +352,26 @@ class TestRunBo:
         cfg = sphere_config(budget=30, seed=0)
         trace = run_bo(sphere, SearchSpace([-2, -2], [2, 2]), cfg)
         assert trace.best_f < 0.05
+
+    @pytest.mark.parametrize("noise", ["fit", 0.0, 1e-4])
+    def test_constant_objective_standardizes_by_one(self, noise):
+        cfg = sphere_config(budget=12, noise_variance=noise)
+        trace = run_bo(lambda x: 3.0, SearchSpace([-2, -2], [2, 2]), cfg)
+        assert len(trace) == 12
+        bo_rows = trace.records[6:]
+        assert all(rec.hypers["y_sd"] == 1.0 for rec in bo_rows)
+        assert all(math.isfinite(rec.acq_value) and rec.acq_value >= 0.0 for rec in bo_rows)
+
+    def test_candidate_count_reaches_the_sampler(self, monkeypatch):
+        counts = []
+
+        def recording(dimension, n, seed):
+            counts.append(n)
+            return halton_points(dimension, n, seed)
+
+        monkeypatch.setattr(loop, "halton_points", recording)
+        run_bo(sphere, SearchSpace([-2, -2], [2, 2]), sphere_config(budget=9, candidate_count=37))
+        assert counts == [6, 37, 37, 37]  # the initial design, then one per proposal
 
 
 def _record_fits(monkeypatch):

@@ -98,10 +98,20 @@ class TestMalformed:
         with pytest.raises(TraceFormatError):
             read_trace(p)
 
-    def test_wrong_header(self, tmp_path):
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "a,b,c",
+            "iter,y,inc_f,acq_value",
+            "iter,x_1,y,inc_f,acq_value,wall_ms",
+            "iter,x_0,inc_f,y,acq_value,wall_ms",
+        ],
+        ids=["foreign", "too-short", "coordinate-name", "column-order"],
+    )
+    def test_wrong_header(self, tmp_path, header):
         p = tmp_path / "bad.csv"
-        p.write_text("a,b,c\n")
-        with pytest.raises(TraceFormatError):
+        p.write_text(header + "\n")
+        with pytest.raises(TraceFormatError, match="unexpected header"):
             read_trace(p)
 
     def test_short_row(self, tmp_path):
