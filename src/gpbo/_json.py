@@ -81,7 +81,7 @@ def _from_json(cls, obj):
         kwargs[name] = value
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # overflow: an integer past the float range
         if isinstance(e, cls._json_error):
             raise
         raise cls._json_error(f"{cls.__name__}: {e}") from e

@@ -15,6 +15,7 @@ import json
 import os
 import select
 import subprocess
+import sys
 import time
 
 import numpy as np
@@ -68,10 +69,10 @@ def _parse_response(line: str, iteration: int | None) -> float:
         raise ProtocolError(f"worker reported error: {obj['error']}", iteration)
     if "y" not in obj or not isinstance(obj["y"], (int, float)) or isinstance(obj["y"], bool):
         raise ProtocolError(f"response missing numeric 'y': {line!r}", iteration)
-    y = float(obj["y"])
-    if not np.isfinite(y):
-        raise NonFiniteResponseError(f"worker returned non-finite y={y}", iteration)
-    return y
+    y = obj["y"]
+    if not abs(y) <= sys.float_info.max:  # also an integer past the float range
+        raise NonFiniteResponseError(f"worker returned non-finite y: {line!r}", iteration)
+    return float(y)
 
 
 class ExternalObjective:

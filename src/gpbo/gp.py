@@ -42,8 +42,8 @@ from scipy.optimize._lbfgsb import setulb
 from ._json import JsonCodec
 from .kernels import (
     SQ_EXP_ISO,
-    KernelError,
     KernelSpec,
+    _as_points,
     _correlation,
     _scaled_covariance,
     cross_covariance,
@@ -107,16 +107,12 @@ class ObservationSet:
     direction: str = MINIMIZE
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, 1)
-        if X.size == 0:
-            X = X.reshape(0, X.shape[1] if X.ndim == 2 and X.shape[1] else 1)
+        X = _as_points(self.X)
         y = np.asarray(self.y, dtype=float).reshape(-1)
         if X.shape[0] != y.shape[0]:
             raise GpError("X and y must have the same number of rows")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-            raise GpError("observations must be finite")
+        if not np.isfinite(y).all():
+            raise GpError("observed values must be finite")
         if self.direction not in (MINIMIZE, MAXIMIZE):
             raise GpError(f"unknown direction {self.direction!r}")
         X.flags.writeable = False
@@ -133,7 +129,7 @@ class ObservationSet:
 
     def append(self, x, y: float) -> "ObservationSet":
         """Return a new set with (x, y) appended; self is unchanged."""
-        x = np.asarray(x, dtype=float).reshape(1, -1)
+        x = _as_points(x, np.size(x))
         if len(self) and x.shape[1] != self.dimension:
             raise GpError("appended point has wrong dimension")
         if not np.isfinite(y):
@@ -253,23 +249,6 @@ def fit_posterior(
     )
 
 
-def _test_points(post: GpPosterior, X_star) -> np.ndarray:
-    """``X_star`` as a nonempty, finite (m, d) array: a 1-D one is m points if
-    d = 1, else one."""
-    X_star = np.asarray(X_star, dtype=float)
-    if X_star.ndim == 1:
-        X_star = X_star.reshape(-1, 1) if post.dimension == 1 else X_star.reshape(1, -1)
-    if X_star.ndim != 2:
-        raise KernelError("points must be at most 2-dimensional arrays")
-    if X_star.shape[0] == 0:
-        raise GpError("need at least one test point")
-    if X_star.shape[1] != post.dimension:
-        raise GpError("test points have wrong dimension")
-    if not np.isfinite(X_star).all():
-        raise KernelError("non-finite input coordinate")
-    return X_star
-
-
 def predict(post: GpPosterior, X_star, include_noise: bool = False) -> Prediction:
     """Posterior mean and latent-function variance at test points.
 
@@ -282,7 +261,9 @@ def predict(post: GpPosterior, X_star, include_noise: bool = False) -> Predictio
     n * (widest block) floats, and writes its mean and variance straight
     into the outputs, so no block allocates an (n, width) temporary.
     """
-    X_star = _test_points(post, X_star)
+    X_star = _as_points(X_star, post.dimension)
+    if X_star.shape[0] == 0 or X_star.shape[1] != post.dimension:
+        raise GpError(f"need one or more test points of dimension {post.dimension}")
     mean, variance = _LatentBlocks(post, X_star.shape[0])(X_star)
     if include_noise:
         variance += post.noise_variance
@@ -635,7 +616,9 @@ def sample_prior(
 def sample_posterior(post: GpPosterior, X, n_draws: int, seed: int) -> np.ndarray:
     """Draws from the fitted posterior at points X, whose latent covariance is
     ``k(X, X) - v^T v`` for ``v = L^-1 k(train_X, X)``, symmetrized."""
-    X = _test_points(post, X)
+    X = _as_points(X, post.dimension)
+    if X.shape[0] == 0 or X.shape[1] != post.dimension:
+        raise GpError(f"need one or more test points of dimension {post.dimension}")
     mean, v = _mean_and_whitened(post, X / post.kernel.length_scales)
     cov = cross_covariance(post.kernel, X, X) - v.T @ v
     return sample_function(mean, 0.5 * (cov + cov.T), n_draws, seed)

@@ -92,8 +92,13 @@ class KernelSpec(JsonCodec, error=KernelError):
         """Number of log-hyperparameters: signal variance + length-scales."""
         return 1 + self.length_scales.size
 
+    @property
+    def dimension(self) -> int | None:
+        """The input dimension the spec fixes; None for ``sq_exp_iso``, which fits any."""
+        return None if self.family == SQ_EXP_ISO else self.length_scales.size
+
     def check_dimension(self, d: int) -> None:
-        if self.family != SQ_EXP_ISO and self.length_scales.size != d:
+        if self.dimension not in (None, d):
             raise KernelError(
                 f"kernel has {self.length_scales.size} length-scales "
                 f"but points are {d}-dimensional"
@@ -121,13 +126,13 @@ class KernelSpec(JsonCodec, error=KernelError):
         )
 
 
-def _as_points(X) -> np.ndarray:
-    """Coerce to an (n, d) float array; a single point becomes (1, d)."""
+def _as_points(X, dimension: int | None = None) -> np.ndarray:
+    """``X`` as a finite (m, d) float array, a point per row as in Rasmussen &
+    Williams 2006: a 1-D array is m one-coordinate points, or one point when
+    ``dimension`` is known to be above 1.  The caller checks d."""
     X = np.asarray(X, dtype=float)
-    if X.ndim == 0:
-        X = X.reshape(1, 1)
-    elif X.ndim == 1:
-        X = X.reshape(1, -1)
+    if X.ndim < 2:
+        X = X.reshape(1, -1) if X.ndim and (dimension or 1) > 1 else X.reshape(-1, 1)
     elif X.ndim != 2:
         raise KernelError("points must be at most 2-dimensional arrays")
     if not np.isfinite(X).all():
@@ -192,8 +197,11 @@ def _correlation(
 
 def cross_covariance(spec: KernelSpec, X, Z) -> np.ndarray:
     """Covariance matrix k(X, Z) of shape (n, m)."""
-    X = _as_points(X)
-    Z = _as_points(Z)
+    return _covariance(spec, _as_points(X, spec.dimension), _as_points(Z, spec.dimension))
+
+
+def _covariance(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """``cross_covariance`` of points already read by ``_as_points``."""
     if X.shape[1] != Z.shape[1]:
         raise KernelError("dimension mismatch between point sets")
     spec.check_dimension(X.shape[1])
@@ -219,22 +227,22 @@ def _scaled_covariance(spec: KernelSpec, X_scaled, Z_scaled, out=None, scratch=(
 
 
 def eval_kernel(spec: KernelSpec, x, x_prime) -> float:
-    """Scalar covariance between two points."""
-    x = _as_points(x)
-    xp = _as_points(x_prime)
-    if x.shape != xp.shape or x.shape[0] != 1:
+    """Scalar covariance between two single points; each is read alone, so a
+    1-D array of any length is one point."""
+    x, x_prime = _as_points(x, np.size(x)), _as_points(x_prime, np.size(x_prime))
+    if x.shape != x_prime.shape or x.shape[0] != 1:
         raise KernelError("eval_kernel expects two single points of equal dimension")
-    return float(cross_covariance(spec, x, xp)[0, 0])
+    return float(_covariance(spec, x, x_prime)[0, 0])
 
 
 def gram_matrix(spec: KernelSpec, X, jitter: float = 0.0) -> np.ndarray:
     """Symmetric Gram matrix K[i, j] = k(x_i, x_j) + jitter * delta_ij."""
-    X = _as_points(X)
+    X = _as_points(X, spec.dimension)
     if X.shape[0] == 0:
         raise KernelError("gram_matrix requires at least one point")
     if jitter < 0:
         raise KernelError("jitter must be nonnegative")
-    K = cross_covariance(spec, X, X)
+    K = _covariance(spec, X, X)
     if jitter:
         K[np.diag_indices_from(K)] += jitter
     return K
@@ -247,7 +255,7 @@ def kernel_grad_hyper(spec: KernelSpec, x, x_prime) -> np.ndarray:
     with one length-scale entry for ``sq_exp_iso`` and ``d`` entries
     otherwise.
     """
-    G = gram_grad_hyper(spec, _as_points(x), _as_points(x_prime))
+    G = gram_grad_hyper(spec, _as_points(x, np.size(x)), _as_points(x_prime, np.size(x_prime)))
     return np.array([g[0, 0] for g in G])
 
 
@@ -257,9 +265,8 @@ def gram_grad_hyper(spec: KernelSpec, X, Z) -> list[np.ndarray]:
     Returns ``spec.n_hypers`` matrices in the layout documented by
     :func:`kernel_grad_hyper`.
     """
-    X = _as_points(X)
-    Z = _as_points(Z)
-    K = cross_covariance(spec, X, Z)
+    X, Z = _as_points(X, spec.dimension), _as_points(Z, spec.dimension)
+    K = _covariance(spec, X, Z)
     # scaled per-dimension squared differences u_j^2 = ((x_j - z_j)/l_j)^2
     diffs2 = ((X[:, None, :] - Z[None, :, :]) / spec.length_scales) ** 2
     grads = [K.copy()]  # d k / d log sf2 = k

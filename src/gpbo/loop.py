@@ -64,8 +64,9 @@ class SearchSpace(JsonCodec, error=LoopError):
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
             raise LoopError("lower/upper must be equal-length vectors")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise LoopError("bounds must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(hi - lo).all():
+                raise LoopError("bounds and their widths upper - lower must be finite")
         if not np.all(lo < hi):
             raise LoopError("every lower bound must be strictly below its upper bound")
         lo.flags.writeable = False

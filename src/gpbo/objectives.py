@@ -17,6 +17,11 @@ from ._json import JsonCodec
 from .loop import SearchSpace
 
 
+#: the longest worker timeout, in seconds: 2**31 - 1 ms, the most that
+#: ``subprocess.run`` waits
+MAX_TIMEOUT = 2147483.647
+
+
 class ObjectiveError(ValueError):
     """Unknown builtin or malformed objective specification."""
 
@@ -113,7 +118,7 @@ class ObjectiveSpec(JsonCodec, error=ObjectiveError):
                 raise ObjectiveError("external objective requires a command")
             if self.mode not in ("persistent", "oneshot"):
                 raise ObjectiveError('mode must be "persistent" or "oneshot"')
-            if not (self.timeout > 0 and math.isfinite(self.timeout)):
-                raise ObjectiveError("timeout must be positive and finite")
+            if not 0 < self.timeout <= MAX_TIMEOUT:
+                raise ObjectiveError(f"timeout must be positive and at most {MAX_TIMEOUT} s")
         else:
             raise ObjectiveError(f'kind must be "builtin" or "external", got {self.kind!r}')

@@ -295,6 +295,21 @@ class TestBaseline:
         assert capsys.readouterr().err.startswith("objective error: response ")
         assert len(read_trace(trace_path)) == 0
 
+    def test_integer_y_past_the_float_range_exits_3(self, tmp_path, capsys):
+        worker = tmp_path / "huge_y_worker.py"
+        worker.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    print('{\"y\": 1' + '0' * 400 + '}', flush=True)\n"
+        )
+        objective = {"kind": "external", "command": [sys.executable, str(worker)]}
+        cfg = write_config(tmp_path, objective=objective)
+        trace_path = tmp_path / "rs.csv"
+        rc = main(["baseline", "--config", str(cfg), "--budget", "5", "--trace", str(trace_path)])
+        assert rc == EXIT_OBJECTIVE
+        assert capsys.readouterr().err.startswith("objective error: worker returned non-finite")
+        assert len(read_trace(trace_path)) == 0
+
     def test_summary_path_from_config(self, tmp_path, capsys):
         summary_path = tmp_path / "rs-summary.json"
         cfg = write_config(tmp_path, output={"summary": str(summary_path)})
@@ -517,6 +532,42 @@ def test_config_mistake_exits_2_before_any_output(
     monkeypatch.chdir(tmp_path)
     assert main([command, "--config", "cfg.json", *flags]) == EXIT_CONFIG
     assert key.rsplit(".", 1)[-1] in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "key", ["bo.acquisition.xi", "bo.noise_variance", "objective.timeout", "space.lower"]
+)
+def test_number_past_the_float_range_exits_2_before_any_output(
+    tmp_path, monkeypatch, capsys, key
+):
+    """A JSON integer too large for a double is a config error, wherever a
+    number goes."""
+    huge = 10**400
+    cfg = json.loads(write_config(tmp_path, bo={"budget": 10, "seed": 0}).read_text())
+    cfg["output"] = {"trace": "t.csv", "summary": "s.json"}
+    if key == "objective.timeout":
+        cfg["objective"] = {"kind": "external", "command": [sys.executable, str(SPHERE_WORKER)]}
+    *parents, name = key.split(".")
+    node = cfg
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[name] = [huge, 0.0] if key == "space.lower" else huge
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert main(["baseline", "--config", "cfg.json"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_search_box_wider_than_the_float_range_exits_2_before_any_output(
+    tmp_path, monkeypatch, capsys
+):
+    write_config(tmp_path, space={"lower": [-1e308], "upper": [1e308]},
+                 output={"trace": "t.csv", "summary": "s.json"})
+    monkeypatch.chdir(tmp_path)
+    assert main(["baseline", "--config", "cfg.json"]) == EXIT_CONFIG
+    assert "widths" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 

@@ -12,7 +12,7 @@ from gpbo.external import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
-from gpbo.objectives import ObjectiveSpec
+from gpbo.objectives import MAX_TIMEOUT, ObjectiveSpec
 
 SPHERE_WORKER = Path(__file__).resolve().parents[1] / "demos" / "sphere_worker.py"
 
@@ -103,6 +103,27 @@ class TestPersistentWorker:
             with pytest.raises(NonFiniteResponseError):
                 obj([0.5])
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_past_the_float_range_is_non_finite(self, tmp_path, sign):
+        # the first request gets a good answer, so the error names iteration 1
+        worker = write_worker(
+            tmp_path,
+            "sys.stdin.readline()\n"
+            "print(json.dumps({'y': 1.0}), flush=True)\n"
+            "for line in sys.stdin:\n"
+            f"    print('{{\"y\": {sign}1' + '0' * 400 + '}}', flush=True)\n",
+        )
+        with ExternalObjective(worker_spec(worker)) as obj:
+            assert obj([0.5]) == 1.0
+            with pytest.raises(NonFiniteResponseError, match="non-finite") as err:
+                obj([0.5])
+            assert err.value.iteration == 1
+
+    def test_largest_timeout(self):
+        with ExternalObjective(worker_spec(SPHERE_WORKER, timeout=MAX_TIMEOUT)) as obj:
+            assert obj([0.5]) == 0.25
+            assert obj([1.0, 2.0]) == 5.0
+
     def test_timeout_reports_iteration(self, tmp_path):
         worker = write_worker(
             tmp_path,
@@ -172,6 +193,18 @@ class TestPersistentWorker:
 class TestOneshotWorker:
     def test_sphere_echo(self):
         with ExternalObjective(worker_spec(SPHERE_WORKER, mode="oneshot")) as obj:
+            assert obj([3.0]) == 9.0
+
+    def test_integer_past_the_float_range_is_non_finite(self, tmp_path):
+        worker = write_worker(tmp_path, "print('{\"y\": 1' + '0' * 400 + '}')\n")
+        with ExternalObjective(worker_spec(worker, mode="oneshot")) as obj:
+            with pytest.raises(NonFiniteResponseError, match="non-finite") as err:
+                obj([0.5])
+            assert err.value.iteration == 0
+
+    def test_largest_timeout(self):
+        spec = worker_spec(SPHERE_WORKER, mode="oneshot", timeout=MAX_TIMEOUT)
+        with ExternalObjective(spec) as obj:
             assert obj([3.0]) == 9.0
 
     def test_timeout(self, tmp_path):

@@ -1082,3 +1082,64 @@ class TestSampling:
         # covariance estimator SE for bivariate normal: sqrt((1 + rho^2)/n)
         se = math.sqrt((1 + want**2) / n)
         assert abs(emp - want) < 4 * se
+
+
+class TestPointArrays:
+    """Every kernel and GP function reads point input by one rule: a 1-D array
+    is m one-coordinate points, or one point when the dimension is known to be
+    above 1."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [ISO, KernelSpec("matern", 1.3, [0.4], nu=2.5)],
+        ids=["sq_exp_iso", "matern-d1"],
+    )
+    def test_1d_array_is_m_points_everywhere(self, kernel):
+        x = np.linspace(0, 1, 5)
+        X = x.reshape(-1, 1)
+        assert np.array_equal(gram_matrix(kernel, x), gram_matrix(kernel, X))
+        assert gram_matrix(kernel, x).shape == (5, 5)
+        assert np.array_equal(cross_covariance(kernel, x, x), cross_covariance(kernel, X, X))
+        for g, g_ref in zip(gram_grad_hyper(kernel, x, x), gram_grad_hyper(kernel, X, X)):
+            assert g.shape == (5, 5) and np.array_equal(g, g_ref)
+        draws = sample_prior(kernel, x, 2, seed=3)
+        assert draws.shape == (2, 5)
+        assert np.array_equal(draws, sample_prior(kernel, X, 2, seed=3))
+        y = np.sin(4 * x)
+        assert np.array_equal(ObservationSet(x, y).X, X)
+        post = fit_posterior(ObservationSet(x, y), kernel, 0.1)
+        z = np.linspace(-0.2, 1.3, 5)
+        pred, pred_ref = predict(post, z), predict(post, z.reshape(-1, 1))
+        assert pred.mean.shape == (5,)
+        assert np.array_equal(pred.mean, pred_ref.mean)
+        assert np.array_equal(pred.variance, pred_ref.variance)
+        draws = sample_posterior(post, z, 2, seed=4)
+        assert draws.shape == (2, 5)
+        assert np.array_equal(draws, sample_posterior(post, z.reshape(-1, 1), 2, seed=4))
+
+    def test_1d_array_is_one_point_when_the_kernel_fixes_d_above_1(self):
+        kernel = KernelSpec("sq_exp_ard", 0.8, [0.5, 1.0, 2.0])
+        x = np.array([0.1, -0.4, 0.7])
+        row = x.reshape(1, -1)
+        assert np.array_equal(gram_matrix(kernel, x), gram_matrix(kernel, row))
+        assert gram_matrix(kernel, x).shape == (1, 1)
+        Z = np.random.default_rng(5).normal(size=(4, 3))
+        assert np.array_equal(cross_covariance(kernel, x, Z), cross_covariance(kernel, row, Z))
+        assert cross_covariance(kernel, x, Z).shape == (1, 4)
+        for g, g_ref in zip(gram_grad_hyper(kernel, x, Z), gram_grad_hyper(kernel, row, Z)):
+            assert g.shape == (1, 4) and np.array_equal(g, g_ref)
+        assert sample_prior(kernel, x, 2, seed=3).shape == (2, 1)
+        post = fit_posterior(ObservationSet(Z, np.arange(4.0)), kernel, 0.1)
+        pred, pred_ref = predict(post, x), predict(post, row)
+        assert pred.mean.shape == (1,)
+        assert np.array_equal(pred.mean, pred_ref.mean)
+        assert np.array_equal(pred.variance, pred_ref.variance)
+        assert sample_posterior(post, x, 2, seed=4).shape == (2, 1)
+
+    def test_scalar_observation_is_one_point(self):
+        obs = ObservationSet(5.0, [1.0])
+        assert obs.X.shape == (1, 1) and obs.X[0, 0] == 5.0
+
+    def test_three_dimensional_observations_raise(self):
+        with pytest.raises(KernelError, match="at most 2-dimensional"):
+            ObservationSet(np.zeros((2, 2, 2)), [1.0, 2.0])

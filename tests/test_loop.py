@@ -43,6 +43,13 @@ class TestSearchSpace:
         with pytest.raises(LoopError):
             SearchSpace([0.0], [np.inf])
 
+    def test_width_past_the_float_range_raises(self):
+        with pytest.raises(LoopError, match="widths"):
+            SearchSpace([-1e308], [1e308])
+        with pytest.raises(LoopError, match="widths"):
+            SearchSpace([0.0, -np.inf], [1.0, 0.0])
+        assert SearchSpace([-1e308], [0.0]).widths[0] == 1e308
+
     def test_unit_mapping_round_trip(self):
         space = SearchSpace([-5.0, 0.0], [10.0, 15.0])
         x = np.array([2.5, 7.5])

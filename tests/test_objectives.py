@@ -9,6 +9,7 @@ from gpbo.baseline import random_search_baseline
 from gpbo.loop import SearchSpace
 from gpbo.objectives import (
     BRANIN_MINIMUM,
+    MAX_TIMEOUT,
     ObjectiveError,
     ObjectiveSpec,
     branin,
@@ -108,6 +109,14 @@ class TestObjectiveSpec:
     def test_timeout_must_be_positive_and_finite(self, timeout):
         with pytest.raises(ObjectiveError, match="timeout"):
             ObjectiveSpec(kind="external", command=["x"], timeout=timeout)
+
+    def test_timeout_at_most_what_the_waits_take(self):
+        # 2**31 - 1 ms is the longest timeout subprocess.run takes
+        spec = ObjectiveSpec(kind="external", command=["x"], timeout=MAX_TIMEOUT)
+        assert spec.timeout == 2147483.647
+        for timeout in (math.nextafter(MAX_TIMEOUT, math.inf), 2147484.0, 1e300, 10**400):
+            with pytest.raises(ObjectiveError, match="timeout"):
+                ObjectiveSpec(kind="external", command=["x"], timeout=timeout)
 
     def test_json_round_trip(self):
         external = ObjectiveSpec(
