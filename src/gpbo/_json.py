@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import types
 import typing
 
@@ -42,13 +43,17 @@ def _to_json(value):
 
 def _admits(t, value) -> bool:
     """Whether a JSON value may fill a field of type ``t``: no fraction for an int, no
-    boolean, NaN or infinity for a number, only an array without booleans for an array
-    or a tuple.  Nested configs leave all but null to the constructor, and so do the
-    other checks on array elements."""
+    boolean, NaN, infinity or integer past the float range for a number, only an array
+    without booleans for an array or a tuple.  Nested configs leave all but null to the
+    constructor, and so do the other checks on array elements."""
     if t is int or t is float:
         if isinstance(value, float):
             return t is float and math.isfinite(value)
-        return isinstance(value, int) and not isinstance(value, bool)
+        return (
+            isinstance(value, int)
+            and not isinstance(value, bool)
+            and (t is int or abs(value) <= sys.float_info.max)
+        )
     if t in (str, dict, type(None)):
         return isinstance(value, t)
     if t is np.ndarray or typing.get_origin(t) is tuple:

@@ -1,6 +1,6 @@
 """External objective processes: newline-delimited JSON over stdin/stdout.
 
-Request:  ``{"x": [f, ...]}\n``
+Request:  ``{"x": [f, ...]}\n``, the bytes of ``json.dumps`` of that object
 Response: ``{"y": f}\n``  or  ``{"error": "..."}\n``
 
 Persistent mode keeps one worker alive for the whole run (one request per
@@ -58,6 +58,15 @@ def _decoded(raw: bytes, iteration: int) -> str:
         ) from None
 
 
+def _request(x) -> bytes:
+    """``json.dumps({"x": [...]})`` of the point's coordinates, and a newline:
+    each coordinate spelled by ``float.__repr__``, or as json spells NaN and
+    the infinities."""
+    coords = ", ".join(map(float.__repr__, np.asarray(x, dtype=float).ravel().tolist()))
+    coords = coords.replace("nan", "NaN").replace("inf", "Infinity")
+    return b'{"x": [' + coords.encode() + b"]}\n"
+
+
 def _parse_response(line: str, iteration: int | None) -> float:
     try:
         obj = json.loads(line)
@@ -91,18 +100,18 @@ class ExternalObjective:
         self._pending = b""  # bytes the worker sent past its last full line
 
     def __call__(self, x) -> float:
-        request = json.dumps({"x": [float(v) for v in np.asarray(x).ravel()]})
+        request = _request(x)
         it = self.evaluations
         self.evaluations += 1
         if self.spec.mode == "oneshot":
             return self._eval_oneshot(request, it)
         return self._eval_persistent(request, it)
 
-    def _eval_oneshot(self, request: str, it: int) -> float:
+    def _eval_oneshot(self, request: bytes, it: int) -> float:
         try:
             result = subprocess.run(
                 list(self.spec.command),
-                input=(request + "\n").encode(),
+                input=request,
                 capture_output=True,
                 timeout=self.spec.timeout,
             )
@@ -132,19 +141,19 @@ class ExternalObjective:
                     list(self.spec.command),
                     stdin=subprocess.PIPE,
                     stdout=subprocess.PIPE,
-                    text=True,
-                    bufsize=1,
+                    bufsize=0,
                 )
             except OSError as e:
                 raise WorkerCrashError(f"could not launch worker: {e}", it) from None
         return self._proc
 
-    def _eval_persistent(self, request: str, it: int) -> float:
+    def _eval_persistent(self, request: bytes, it: int) -> float:
         proc = self._ensure_worker(it)
         try:
-            proc.stdin.write(request + "\n")
-            proc.stdin.flush()
-        except (BrokenPipeError, OSError):
+            fd = proc.stdin.fileno()
+            while request:  # a short write leaves the rest to write again
+                request = request[os.write(fd, request) :]
+        except OSError:
             raise WorkerCrashError(f"worker pipe closed at iteration {it}", it) from None
         # one deadline for the whole line: a worker that sends part of it and
         # stalls must time out too, so read the raw fd, never a blocking readline

@@ -107,8 +107,9 @@ class ObservationSet:
     direction: str = MINIMIZE
 
     def __post_init__(self):
-        X = _as_points(self.X)
-        y = np.asarray(self.y, dtype=float).reshape(-1)
+        # copies: the set freezes its own arrays, never the caller's
+        X = _as_points(np.array(self.X, dtype=float))
+        y = np.array(self.y, dtype=float).reshape(-1)
         if X.shape[0] != y.shape[0]:
             raise GpError("X and y must have the same number of rows")
         if not np.isfinite(y).all():

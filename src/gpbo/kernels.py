@@ -226,12 +226,19 @@ def _scaled_covariance(spec: KernelSpec, X_scaled, Z_scaled, out=None, scratch=(
     return K
 
 
+def _point_pair(x, x_prime, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two single points of equal dimension as (1, d) arrays; each is read
+    alone, so a 1-D array of any length is one point."""
+    x, x_prime = _as_points(x, np.size(x)), _as_points(x_prime, np.size(x_prime))
+    if x.shape != x_prime.shape or x.shape[0] != 1:
+        raise KernelError(f"{caller} expects two single points of equal dimension")
+    return x, x_prime
+
+
 def eval_kernel(spec: KernelSpec, x, x_prime) -> float:
     """Scalar covariance between two single points; each is read alone, so a
     1-D array of any length is one point."""
-    x, x_prime = _as_points(x, np.size(x)), _as_points(x_prime, np.size(x_prime))
-    if x.shape != x_prime.shape or x.shape[0] != 1:
-        raise KernelError("eval_kernel expects two single points of equal dimension")
+    x, x_prime = _point_pair(x, x_prime, "eval_kernel")
     return float(_covariance(spec, x, x_prime)[0, 0])
 
 
@@ -253,9 +260,9 @@ def kernel_grad_hyper(spec: KernelSpec, x, x_prime) -> np.ndarray:
 
     Layout: ``[d k / d log(signal_variance), d k / d log(length_scale_j)...]``
     with one length-scale entry for ``sq_exp_iso`` and ``d`` entries
-    otherwise.
+    otherwise.  Takes two single points, as ``eval_kernel`` does.
     """
-    G = gram_grad_hyper(spec, _as_points(x, np.size(x)), _as_points(x_prime, np.size(x_prime)))
+    G = gram_grad_hyper(spec, *_point_pair(x, x_prime, "kernel_grad_hyper"))
     return np.array([g[0, 0] for g in G])
 
 

@@ -144,7 +144,7 @@ class BoConfig(JsonCodec, error=LoopError):
         return 1024 * dimension
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     iteration: int
     x: np.ndarray
@@ -212,10 +212,10 @@ def halton_points(dimension: int, n: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     U = np.empty((dimension, n))
     for row, b in zip(U, _first_primes(dimension)):
-        # one permutation per digit j whose weight b**-(j + 1) is above 2**-54
+        # one permutation per digit j whose weight b**-(j + 1) is above 2**-54;
+        # permuted shuffles the rows in order, with one rng.shuffle's draws each
         perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, 0)
-        for perm in perms:
-            rng.shuffle(perm)
+        rng.permuted(perms, axis=1, out=perms)
         # point i is the sum of perms[j, digit_j(i)] * b2r, with b2r = 1 / b
         # divided by b after each digit, added in digit order j = 0, 1, ...;
         # tabulate the sums over the digits that vary below n, level by level
@@ -324,9 +324,10 @@ def drive(
     ``propose(it, X_seen, y_seen)`` returns ``(x, acq_value, hypers)`` for
     iteration ``it``, given read-only views of the ``it`` points evaluated so
     far.  The incumbent is a running best that keeps the earliest index on
-    ties, as :func:`incumbent` does.  ``trace_writer``, when given, has each
-    record passed to its ``write`` method as it is produced, so a crashed
-    run leaves a partial trace behind.  Raises
+    ties, as :func:`incumbent` does; its point is one read-only array that
+    every record shares until the incumbent changes.  ``trace_writer``, when
+    given, has each record passed to its ``write`` method as it is produced,
+    so a crashed run leaves a partial trace behind.  Raises
     :class:`ObjectiveFailure` (with the partial trace attached) if the
     objective returns a non-finite value.
     """
@@ -339,25 +340,26 @@ def drive(
     y = np.empty(budget)
     X_seen, y_seen = X.view(), y.view()
     X_seen.flags.writeable = y_seen.flags.writeable = False
-    best = 0
+    best_x, best_f = None, math.nan
     trace = Trace()
     t_start = time.perf_counter()
     for it in range(budget):
         x, acq_value, hypers = propose(it, X_seen[:it], y_seen[:it])
         y_it = float(objective(x))
-        if not np.isfinite(y_it):
+        if not math.isfinite(y_it):
             raise ObjectiveFailure(
                 f"objective returned non-finite value at iteration {it}", trace
             )
         X[it], y[it] = x, y_it
-        if (y_it < y[best]) if minimize else (y_it > y[best]):
-            best = it
+        if best_x is None or ((y_it < best_f) if minimize else (y_it > best_f)):
+            best_x, best_f = X[it].copy(), y_it
+            best_x.flags.writeable = False
         rec = TraceRecord(
             iteration=it,
             x=X[it].copy(),
             y=y_it,
-            incumbent_x=X[best].copy(),
-            incumbent_f=float(y[best]),
+            incumbent_x=best_x,
+            incumbent_f=best_f,
             acq_value=acq_value,
             hypers=hypers,
             wall_ms=(time.perf_counter() - t_start) * 1e3,

@@ -1,14 +1,14 @@
 """Trace persistence: RFC-4180 CSV, one row per evaluation.
 
 Header is ``iter,x_0..x_{d-1},y,inc_f,acq_value,wall_ms``.  Numbers are
-written with 17 significant digits so the round-trip is lossless for
-doubles.  ``TraceWriter`` flushes after every row, so a crashed run leaves a
-readable partial trace behind.
+written as ``format(v, ".17g")`` writes them, 17 significant digits, so the
+round-trip is lossless for doubles; no field needs CSV quoting.
+``TraceWriter`` hands each row to the operating system as it is written, so
+a crashed run leaves a readable partial trace behind.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 
@@ -21,39 +21,32 @@ class TraceFormatError(ValueError):
     """Malformed trace CSV."""
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _header(dimension: int) -> list[str]:
     return ["iter", *(f"x_{j}" for j in range(dimension)), "y", "inc_f", "acq_value", "wall_ms"]
 
 
 class TraceWriter:
-    """Incremental writer; each ``write`` appends one flushed row."""
+    """Incremental writer; each ``write`` appends one row in one unbuffered write."""
 
     def __init__(self, path, dimension: int):
         self.dimension = dimension
-        self._fh = open(path, "w", encoding="utf-8", newline="")
-        self._writer = csv.writer(self._fh, lineterminator="\n")
+        self._row = b"%d" + b",%.17g" * (dimension + 4) + b"\n"
+        self._fh = open(path, "wb", buffering=0)
         try:
-            self._writer.writerow(_header(dimension))
-            self._fh.flush()
+            self._write(",".join(_header(dimension)).encode() + b"\n")
         except OSError:
-            # no writer is returned to close the file, so close it here; its
-            # own flush of the unwritten header fails again and is dropped
-            with contextlib.suppress(OSError):
-                self._fh.close()
+            self._fh.close()  # no writer is returned to close it
             raise
 
+    def _write(self, data: bytes) -> None:
+        while data:  # a short write leaves the rest to write again
+            data = data[self._fh.write(data) :]
+
     def write(self, rec: TraceRecord) -> None:
-        row = (
-            [str(rec.iteration)]
-            + [_fmt(v) for v in rec.x]
-            + [_fmt(rec.y), _fmt(rec.incumbent_f), _fmt(rec.acq_value), _fmt(rec.wall_ms)]
+        self._write(
+            self._row
+            % (rec.iteration, *rec.x.tolist(), rec.y, rec.incumbent_f, rec.acq_value, rec.wall_ms)
         )
-        self._writer.writerow(row)
-        self._fh.flush()
 
     def close(self) -> None:
         self._fh.close()

@@ -295,6 +295,37 @@ class TestBaseline:
         assert capsys.readouterr().err.startswith("objective error: response ")
         assert len(read_trace(trace_path)) == 0
 
+    @pytest.mark.parametrize(
+        "death, message",
+        [
+            ("sys.exit(1)", "worker closed stdout at iteration 2"),
+            ("print('{\"y\": 1', end='', flush=True); sys.exit(1)", "malformed response"),
+            ("os.close(0); print(json.dumps({'y': 1.0}), flush=True); sys.exit(0)",
+             "worker pipe closed at iteration 3"),
+        ],
+        ids=["before-answering", "mid-answer", "closing-its-stdin"],
+    )
+    def test_worker_that_dies_mid_request_exits_3_with_partial_trace(
+        self, tmp_path, capsys, death, message
+    ):
+        """The worker answers two requests.  On reading the third it dies, or
+        it closes its stdin, answers and exits, so that the fourth finds no reader."""
+        worker = tmp_path / "dying_worker.py"
+        worker.write_text(
+            "import json, os, sys\n"
+            "for n, line in enumerate(sys.stdin):\n"
+            "    if n == 2:\n"
+            f"        {death}\n"
+            "    print(json.dumps({'y': 1.0}), flush=True)\n"
+        )
+        objective = {"kind": "external", "command": [sys.executable, str(worker)]}
+        cfg = write_config(tmp_path, objective=objective)
+        trace_path = tmp_path / "rs.csv"
+        rc = main(["baseline", "--config", str(cfg), "--budget", "6", "--trace", str(trace_path)])
+        assert rc == EXIT_OBJECTIVE
+        assert message in capsys.readouterr().err
+        assert len(read_trace(trace_path)) == (3 if "pipe" in message else 2)
+
     def test_integer_y_past_the_float_range_exits_3(self, tmp_path, capsys):
         worker = tmp_path / "huge_y_worker.py"
         worker.write_text(
@@ -514,6 +545,8 @@ class TestSample:
         ("sample", "seed", None, ["--seed", "-1"]),
         ("sample", "bo.bogus", 1, []),
         ("sample", "bo.budget", "ten", []),
+        pytest.param("run", "bo.noise_variance", 10**400, [], id="run-bo.noise_variance-10**400"),
+        pytest.param("run", "bo.acquisition.xi", 10**400, [], id="run-bo.acquisition.xi-10**400"),
     ],
 )
 def test_config_mistake_exits_2_before_any_output(
@@ -526,7 +559,7 @@ def test_config_mistake_exits_2_before_any_output(
         *parents, name = key.split(".")
         node = cfg
         for part in parents:
-            node = node[part]
+            node = node.setdefault(part, {})
         node[name] = value
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     monkeypatch.chdir(tmp_path)

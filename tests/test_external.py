@@ -1,7 +1,10 @@
+import json
+import math
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gpbo.external import (
@@ -188,6 +191,36 @@ class TestPersistentWorker:
         with ExternalObjective(spec) as obj:
             with pytest.raises(WorkerCrashError):
                 obj([0.5])
+
+
+@pytest.mark.parametrize("mode", ["persistent", "oneshot"])
+def test_request_lines_are_the_bytes_of_json_dumps(tmp_path, mode):
+    """A recording worker receives ``json.dumps({"x": [...]})`` and a newline
+    for finite, non-finite and edge-case coordinates of any array shape."""
+    record = tmp_path / "requests.bin"
+    worker = write_worker(
+        tmp_path,
+        f"with open({str(record)!r}, 'ab') as out:\n"
+        "    for line in sys.stdin.buffer:\n"
+        "        out.write(line)\n"
+        "        out.flush()\n"
+        "        print(json.dumps({'y': 0.0}), flush=True)\n",
+    )
+    points = [
+        [0.1, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 1 / 3, 1e16, -2.5e-7, 1e-5],
+        [math.nan, math.inf, -math.inf, -math.nan],
+        np.array([[1, 2], [3, -4]]),
+        np.float32([0.1, 3.3]),
+        0.5,
+        [],
+    ]
+    with ExternalObjective(worker_spec(worker, mode=mode)) as obj:
+        for x in points:
+            assert obj(x) == 0.0
+    want = "".join(
+        json.dumps({"x": [float(v) for v in np.asarray(x).ravel()]}) + "\n" for x in points
+    )
+    assert record.read_bytes() == want.encode()
 
 
 class TestOneshotWorker:

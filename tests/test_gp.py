@@ -1143,3 +1143,10 @@ class TestPointArrays:
     def test_three_dimensional_observations_raise(self):
         with pytest.raises(KernelError, match="at most 2-dimensional"):
             ObservationSet(np.zeros((2, 2, 2)), [1.0, 2.0])
+
+    def test_observation_set_freezes_its_own_arrays_not_the_callers(self):
+        X, y = np.zeros((3, 2)), np.zeros(3)
+        obs = ObservationSet(X, y)
+        X[0, 0], y[0] = 1.0, 1.0  # the caller's arrays stay writeable
+        assert obs.X[0, 0] == 0.0 and obs.y[0] == 0.0
+        assert not obs.X.flags.writeable and not obs.y.flags.writeable

@@ -168,6 +168,16 @@ class TestGradHyper:
         g = kernel_grad_hyper(ISO, [0.0], [1.0])
         assert g[1] == pytest.approx(math.exp(-0.5), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "x, x_prime", [([[0.0], [1.0]], [[2.0]]), ([0.0], [[2.0], [1.0]]), ([0.0], [0.0, 1.0])],
+        ids=["two-points", "two-points-second", "dimension-mismatch"],
+    )
+    def test_rejects_what_eval_kernel_rejects(self, x, x_prime):
+        with pytest.raises(KernelError, match="kernel_grad_hyper expects two single points"):
+            kernel_grad_hyper(ISO, x, x_prime)
+        with pytest.raises(KernelError, match="eval_kernel expects two single points"):
+            eval_kernel(ISO, x, x_prime)
+
     def test_matches_finite_differences_100_random(self):
         rng = np.random.default_rng(7)
         h = 1e-6

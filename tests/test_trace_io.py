@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 
 import numpy as np
@@ -135,6 +136,40 @@ class TestMalformed:
         p.write_text(f"iter,x_0,y,inc_f,acq_value,wall_ms\n0,0.1,2.0,2.0,nan,1\n{row}\n")
         with pytest.raises(TraceFormatError, match="row 3"):
             read_trace(p)
+
+
+def csv_reference(trace, dimension) -> bytes:
+    """The trace as ``csv.writer`` writes rows of ``format(v, ".17g")`` fields."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    header = ["iter", *(f"x_{j}" for j in range(dimension)), "y", "inc_f", "acq_value", "wall_ms"]
+    writer.writerow(header)
+    for rec in trace:
+        values = [*rec.x, rec.y, rec.incumbent_f, rec.acq_value, rec.wall_ms]
+        writer.writerow([str(rec.iteration)] + [format(float(v), ".17g") for v in values])
+    return buf.getvalue().encode()
+
+
+class TestByteIdentity:
+    EDGES = [math.nan, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+             -1.7976931348623157e308, math.inf, -math.inf, 0.1, 1 / 3, 1e16, 2.5e-7]
+
+    def test_rows_equal_the_csv_writer_reference(self, tmp_path):
+        trace = Trace()
+        edges = self.EDGES
+        for i, it in enumerate([0, 1, 2**31, 10**15, 2**63 + 1, 10**40]):
+            x = np.array([edges[(i + k) % len(edges)] for k in range(3)])
+            y, inc, acq, wall = (edges[(3 * i + k) % len(edges)] for k in range(4))
+            trace.append(TraceRecord(it, x, y, x, inc, acq, None, wall))
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        assert path.read_bytes() == csv_reference(trace, 3)
+
+    def test_random_trace_equals_the_csv_writer_reference(self, tmp_path):
+        trace = make_trace(n=50, d=4, seed=3)
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        assert path.read_bytes() == csv_reference(trace, 4)
 
 
 class TestIncrementalWriter:
